@@ -63,7 +63,7 @@ use bsld_core::campaign::{run_campaign, CampaignOptions, JSON_FILE, RESULTS_FILE
 use bsld_core::distrib::{merge_campaign, run_worker, worker_manifest_file, Shard};
 use bsld_core::experiments::{ablation, enlarged, fig6, grid, powercap, table1, ExpOptions};
 use bsld_core::policy::WqThreshold;
-use bsld_core::scenario::{PolicySpec, ProfileName, ScenarioSet, WorkloadSpec};
+use bsld_core::scenario::{Knob, PolicySpec, ProfileName, ScenarioSet, WorkloadSpec};
 use bsld_core::{sweep_report, CellOutcome, Scenario};
 use bsld_metrics::{Json, RunDetails};
 
@@ -118,15 +118,16 @@ fn usage() -> String {
          query:     query <run FILE.scn|status|metrics|cache [clear]|shutdown> --socket PATH\n\
          \x20          [--set key=value ...] [--budget S] [--swf PATH]\n\
          \x20          (one request to a running daemon; `run` prints the same table as the\n\
-         \x20          one-shot run subcommand, --set tweaks single knobs: bsld_th, wq, cap,\n\
-         \x20          model, jobs, seed, profile, enlarge_pct; `metrics` prints the\n\
-         \x20          profiling plane: cache counters + per-op latency histograms;\n\
-         \x20          `cache --swf PATH` pins a parsed+cleaned trace into the daemon's\n\
-         \x20          workload cache)\n\
+         \x20          one-shot run subcommand; `metrics` prints the profiling plane: cache\n\
+         \x20          counters + per-op latency histograms; `cache --swf PATH` pins a\n\
+         \x20          parsed+cleaned trace into the daemon's workload cache)\n\
+         \x20          --set knobs: {}, budget_s\n\
+         \x20          (cap > 0 or none; model paper|constant|linear|cubic|empirical:<csv>)\n\
          trace-summary: trace-summary FILE\n\
          \x20          (validate a --trace-out Chrome trace file and print per-cell event\n\
          \x20          tallies; exits 1 on malformed input)",
-        EXPERIMENTS.join("|")
+        EXPERIMENTS.join("|"),
+        Knob::ALL.map(Knob::key).join(", ")
     )
 }
 
@@ -919,23 +920,10 @@ fn run_serve(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Builds the daemon overrides from `--set key=value` pairs (numbers parse
-/// as numbers, everything else ships as a string) plus `--budget`.
+/// Builds the daemon overrides from `--set key=value` pairs plus
+/// `--budget`.
 fn query_overrides(sets: &[String], budget: Option<f64>) -> Result<bsld_serve::Overrides, String> {
-    let mut pairs: Vec<(&str, Json)> = Vec::new();
-    for kv in sets {
-        let (k, v) = kv
-            .split_once('=')
-            .ok_or_else(|| format!("bad --set {kv:?}: expected key=value"))?;
-        let val = match v.parse::<f64>() {
-            Ok(n) if n.is_finite() => Json::Num(n),
-            _ => Json::str(v),
-        };
-        pairs.push((k, val));
-    }
-    let mut ov = bsld_serve::Overrides::from_json(&Json::Obj(
-        pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect(),
-    ))?;
+    let mut ov = bsld_serve::Overrides::from_sets(sets)?;
     if let Some(b) = budget {
         if !b.is_finite() || b < 0.0 {
             return Err(format!("--budget must be finite and >= 0, got {b}"));

@@ -37,7 +37,7 @@
 //! ```
 //! use bsld_core::campaign::{run_campaign, CampaignOptions};
 //! use bsld_core::distrib::{merge_campaign, run_worker, Shard};
-//! use bsld_core::scenario::{ProfileName, Scenario, ScenarioSet, SweepAxis, WorkloadSpec};
+//! use bsld_core::scenario::{KnobValue, ProfileName, Scenario, ScenarioSet, SweepAxis, WorkloadSpec};
 //!
 //! let base = Scenario::synthetic("demo", ProfileName::SdscBlue, 40, 7).map_workload(|w| {
 //!     if let WorkloadSpec::Synthetic { scale_cpus, .. } = w {
@@ -46,7 +46,7 @@
 //! });
 //! let set = ScenarioSet {
 //!     base,
-//!     axes: vec![SweepAxis::BsldThreshold(vec![1.5, 3.0])],
+//!     axes: vec![SweepAxis::Knob([1.5, 3.0].map(KnobValue::BsldTh).to_vec())],
 //!     replications: 2,
 //!     cell_budget_s: None,
 //! };

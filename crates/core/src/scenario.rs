@@ -28,7 +28,7 @@
 //! # Example: a synthetic sweep
 //!
 //! ```
-//! use bsld_core::scenario::{Scenario, ScenarioSet, SweepAxis, WorkloadSpec, ProfileName};
+//! use bsld_core::scenario::{KnobValue, ProfileName, Scenario, ScenarioSet, SweepAxis, WorkloadSpec};
 //!
 //! // Base spec: 120 SDSC-Blue-like jobs on a 64-cpu machine, seed 7.
 //! let base = Scenario::synthetic("sweep", ProfileName::SdscBlue, 120, 7)
@@ -40,7 +40,7 @@
 //! // Sweep the paper's BSLD thresholds; expansion yields one scenario each.
 //! let set = ScenarioSet {
 //!     base,
-//!     axes: vec![SweepAxis::BsldThreshold(vec![1.5, 2.0, 3.0])],
+//!     axes: vec![SweepAxis::Knob([1.5, 2.0, 3.0].map(KnobValue::BsldTh).to_vec())],
 //!     replications: 1,
 //!     cell_budget_s: None,
 //! };
@@ -480,7 +480,7 @@ impl PowerModelSpec {
         }
     }
 
-    /// Short cell-name suffix used by [`SweepAxis::Model`].
+    /// Short cell-name label used by the `model` knob's suffix.
     pub fn label(&self) -> String {
         match self {
             PowerModelSpec::Empirical(p) => {
@@ -948,30 +948,225 @@ fn build_rails(spec: &PowerModelSpec, gears: &GearSet) -> Result<RailSet, Scenar
 }
 
 // ---------------------------------------------------------------------------
-// Sweeps
+// Knobs and sweeps
 // ---------------------------------------------------------------------------
+
+/// A what-if knob. This table (one row per knob: key, JSON kind, value
+/// parser) and the [`KnobValue`] methods (render, application to a
+/// [`Scenario`], cell-name suffix) are the one definition of each knob;
+/// `.scn` sweep axes and base keys, serve overrides and `query --set` all
+/// go through them.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Knob {
+    /// `profile`: the synthetic workload profile.
+    Profile,
+    /// `jobs`: the synthetic job count. It adds no cell-name suffix, so
+    /// it has no sweep axis.
+    Jobs,
+    /// `seed`: the synthetic workload seed.
+    Seed,
+    /// `bsld_th`: `BSLD_threshold`.
+    BsldTh,
+    /// `wq`: `WQ_threshold`.
+    Wq,
+    /// `cap`: the power-cap fraction (`none` clears it).
+    Cap,
+    /// `model`: the power model.
+    Model,
+    /// `enlarge_pct`: the machine enlargement.
+    EnlargePct,
+}
+
+/// How a knob's value travels in a JSON override.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum KnobKind {
+    /// A whole number.
+    Int,
+    /// A number (or the string `"none"` where the knob takes it).
+    Real,
+    /// A string (a whole number stands for its decimal text).
+    Word,
+}
+
+type KnobParser = fn(&str) -> Result<KnobValue, String>;
+
+impl Knob {
+    /// Every knob, in the fixed order serve overrides apply in.
+    pub const ALL: [Knob; 8] = [
+        Knob::Profile,
+        Knob::Jobs,
+        Knob::Seed,
+        Knob::BsldTh,
+        Knob::Wq,
+        Knob::Cap,
+        Knob::Model,
+        Knob::EnlargePct,
+    ];
+
+    /// The table row: key, JSON kind and the value parser (which also
+    /// validates; [`KnobValue::render`] is its exact inverse).
+    fn row(self) -> (&'static str, KnobKind, KnobParser) {
+        use KnobKind::{Int, Real, Word};
+        match self {
+            Knob::Profile => ("profile", Word, |s| {
+                ProfileName::parse(s).map(KnobValue::Profile)
+            }),
+            Knob::Jobs => ("jobs", Int, |s| parse_num(s, "jobs").map(KnobValue::Jobs)),
+            Knob::Seed => ("seed", Int, |s| parse_num(s, "seed").map(KnobValue::Seed)),
+            Knob::BsldTh => ("bsld_th", Real, |s| parse_bsld_th(s).map(KnobValue::BsldTh)),
+            Knob::Wq => ("wq", Word, |s| WqThreshold::parse(s).map(KnobValue::Wq)),
+            Knob::Cap => ("cap", Real, |s| parse_cap(s).map(KnobValue::Cap)),
+            Knob::Model => ("model", Word, |s| {
+                PowerModelSpec::parse(s).map(KnobValue::Model)
+            }),
+            Knob::EnlargePct => ("enlarge_pct", Int, |s| {
+                parse_num(s, "enlarge_pct").map(KnobValue::EnlargePct)
+            }),
+        }
+    }
+
+    /// The key: `.scn` base key, `sweep.<key>` axis, override and
+    /// `--set` name.
+    pub fn key(self) -> &'static str {
+        self.row().0
+    }
+
+    /// How the value travels in a JSON override.
+    pub fn kind(self) -> KnobKind {
+        self.row().1
+    }
+
+    /// Parses and validates one text value.
+    pub fn parse(self, text: &str) -> Result<KnobValue, String> {
+        (self.row().2)(text)
+    }
+
+    /// The knob named `key`.
+    pub fn from_key(key: &str) -> Option<Knob> {
+        Knob::ALL.into_iter().find(|k| k.key() == key)
+    }
+
+    /// Whether a `sweep.<key>` axis can vary the knob: all but `jobs`.
+    pub fn is_axis(self) -> bool {
+        self != Knob::Jobs
+    }
+}
+
+/// One value of a [`Knob`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum KnobValue {
+    /// A `profile` value.
+    Profile(ProfileName),
+    /// A `jobs` value.
+    Jobs(usize),
+    /// A `seed` value.
+    Seed(u64),
+    /// A `bsld_th` value.
+    BsldTh(f64),
+    /// A `wq` value.
+    Wq(WqThreshold),
+    /// A `cap` value (`None` clears the cap).
+    Cap(Option<f64>),
+    /// A `model` value.
+    Model(PowerModelSpec),
+    /// An `enlarge_pct` value.
+    EnlargePct(u32),
+}
+
+impl KnobValue {
+    /// The knob this is a value of.
+    pub fn knob(&self) -> Knob {
+        match self {
+            KnobValue::Profile(_) => Knob::Profile,
+            KnobValue::Jobs(_) => Knob::Jobs,
+            KnobValue::Seed(_) => Knob::Seed,
+            KnobValue::BsldTh(_) => Knob::BsldTh,
+            KnobValue::Wq(_) => Knob::Wq,
+            KnobValue::Cap(_) => Knob::Cap,
+            KnobValue::Model(_) => Knob::Model,
+            KnobValue::EnlargePct(_) => Knob::EnlargePct,
+        }
+    }
+
+    /// The text value, the exact inverse of [`Knob::parse`].
+    pub fn render(&self) -> String {
+        match self {
+            KnobValue::Profile(p) => p.key().to_string(),
+            KnobValue::Jobs(n) => n.to_string(),
+            KnobValue::Seed(s) => s.to_string(),
+            KnobValue::BsldTh(th) => th.to_string(),
+            KnobValue::Wq(wq) => wq.label(),
+            KnobValue::Cap(cap) => fmt_opt(cap),
+            KnobValue::Model(m) => m.render(),
+            KnobValue::EnlargePct(pct) => pct.to_string(),
+        }
+    }
+
+    /// Sets the knob on `sc` and appends its cell-name suffix (`-th1.5`,
+    /// `-cap0.7`, ...; none for `jobs`). `bsld_th` and `wq` force the
+    /// BSLD-threshold policy, keeping the other threshold (default: no
+    /// WQ limit, BSLD threshold 2.0). `profile`, `jobs` and `seed` fail on
+    /// an SWF workload, with a message that starts with the key.
+    pub fn apply(&self, sc: &mut Scenario) -> Result<(), String> {
+        let suffix = match (self, &mut sc.workload) {
+            (KnobValue::Profile(p), WorkloadSpec::Synthetic { profile, .. }) => {
+                *profile = *p;
+                format!("-{}", p.key())
+            }
+            (KnobValue::Jobs(n), WorkloadSpec::Synthetic { jobs, .. }) => {
+                *jobs = *n;
+                String::new()
+            }
+            (KnobValue::Seed(s), WorkloadSpec::Synthetic { seed, .. }) => {
+                *seed = *s;
+                format!("-s{s}")
+            }
+            (KnobValue::Profile(_) | KnobValue::Jobs(_) | KnobValue::Seed(_), _) => {
+                let key = self.knob().key();
+                return Err(format!("{key} cannot apply to an SWF workload"));
+            }
+            (KnobValue::BsldTh(th), _) => {
+                let wq = match sc.policy {
+                    PolicySpec::BsldThreshold { wq, .. } => wq,
+                    _ => WqThreshold::NoLimit,
+                };
+                sc.policy = PolicySpec::BsldThreshold { th: *th, wq };
+                format!("-th{th}")
+            }
+            (KnobValue::Wq(wq), _) => {
+                let th = match sc.policy {
+                    PolicySpec::BsldThreshold { th, .. } => th,
+                    _ => 2.0,
+                };
+                sc.policy = PolicySpec::BsldThreshold { th, wq: *wq };
+                format!("-wq{}", wq.label())
+            }
+            (KnobValue::Cap(cap), _) => {
+                sc.power.cap_fraction = *cap;
+                format!("-cap{}", fmt_opt(cap))
+            }
+            (KnobValue::Model(m), _) => {
+                sc.power.model = Some(m.clone());
+                format!("-m{}", m.label())
+            }
+            (KnobValue::EnlargePct(pct), _) => {
+                sc.cluster.enlarge_pct = *pct;
+                format!("-x{pct}")
+            }
+        };
+        sc.name.push_str(&suffix);
+        Ok(())
+    }
+}
 
 /// One sweep dimension of a [`ScenarioSet`].
 #[derive(Debug, Clone, PartialEq)]
 pub enum SweepAxis {
-    /// Vary the synthetic workload profile.
-    Profile(Vec<ProfileName>),
-    /// Vary `BSLD_threshold` (forces the policy to BSLD-threshold; keeps
-    /// the base `WQ_threshold`, defaulting to no limit).
-    BsldThreshold(Vec<f64>),
-    /// Vary `WQ_threshold` (forces the policy to BSLD-threshold; keeps the
-    /// base threshold, defaulting to 2.0).
-    Wq(Vec<WqThreshold>),
-    /// Vary the power-cap fraction.
-    CapFraction(Vec<f64>),
-    /// Vary the machine enlargement.
-    EnlargePct(Vec<u32>),
-    /// Vary the workload seed.
-    Seed(Vec<u64>),
-    /// Vary the power model ([`PowerSpec::model`]); every cell gets an
-    /// explicit model and therefore the three-rail machine layout with
-    /// per-rail energy columns.
-    Model(Vec<PowerModelSpec>),
+    /// One cell per value, in order ([`KnobValue::apply`]). The values
+    /// are of one knob, and that knob has an axis ([`Knob::is_axis`]).
+    /// A `model` axis gives every cell an explicit model and therefore
+    /// the three-rail machine layout with per-rail energy columns.
+    Knob(Vec<KnobValue>),
     /// One cell per `.swf` file in a directory (sorted by file name, so
     /// expansion order — and therefore cell naming — is deterministic).
     /// Requires an SWF base workload; the base `swf_path` and `swf_clean`
@@ -981,98 +1176,60 @@ pub enum SweepAxis {
 }
 
 impl SweepAxis {
-    fn key(&self) -> &'static str {
+    /// Parses the value of a `sweep.<key> = ...` line: one directory for
+    /// `swf_dir`, else whitespace-separated values of an axis knob.
+    fn parse(key: &str, value: &str) -> Result<SweepAxis, String> {
+        if key == "swf_dir" {
+            // A single path operand: paths may contain spaces, so it is
+            // exempt from the whitespace split.
+            if value.is_empty() {
+                return Err("sweep.swf_dir needs a directory".into());
+            }
+            return Ok(SweepAxis::SwfDir(PathBuf::from(value)));
+        }
+        let knob = Knob::from_key(key).filter(|k| k.is_axis()).ok_or_else(|| {
+            let keys: Vec<&str> = Knob::ALL
+                .iter()
+                .filter(|k| k.is_axis())
+                .map(|k| k.key())
+                .collect();
+            format!("unknown sweep axis {key:?} ({}, swf_dir)", keys.join(", "))
+        })?;
+        let values = value
+            .split_whitespace()
+            .map(|v| knob.parse(v))
+            .collect::<Result<Vec<_>, _>>()?;
+        if values.is_empty() {
+            return Err(format!("sweep.{key} has no values"));
+        }
+        Ok(SweepAxis::Knob(values))
+    }
+
+    /// The `sweep.<key>` name (empty for a knob axis without values).
+    pub fn key(&self) -> &'static str {
         match self {
-            SweepAxis::Profile(_) => "profile",
-            SweepAxis::BsldThreshold(_) => "bsld_th",
-            SweepAxis::Wq(_) => "wq",
-            SweepAxis::CapFraction(_) => "cap",
-            SweepAxis::EnlargePct(_) => "enlarge_pct",
-            SweepAxis::Seed(_) => "seed",
-            SweepAxis::Model(_) => "model",
+            SweepAxis::Knob(values) => values.first().map_or("", |v| v.knob().key()),
             SweepAxis::SwfDir(_) => "swf_dir",
         }
     }
+}
 
-    fn len(&self) -> usize {
-        match self {
-            SweepAxis::Profile(v) => v.len(),
-            SweepAxis::BsldThreshold(v) => v.len(),
-            SweepAxis::Wq(v) => v.len(),
-            SweepAxis::CapFraction(v) => v.len(),
-            SweepAxis::EnlargePct(v) => v.len(),
-            SweepAxis::Seed(v) => v.len(),
-            SweepAxis::Model(v) => v.len(),
-            // Resolved at expansion time (the directory is read there);
-            // `expand` never consults `len` for this axis.
-            SweepAxis::SwfDir(_) => 0,
+/// Every cell of `out` crossed with every value (cells vary slowest),
+/// each clone set to its value by `set`.
+fn cartesian<T>(
+    out: &[Scenario],
+    values: &[T],
+    set: impl Fn(&mut Scenario, &T) -> Result<(), ScenarioError>,
+) -> Result<Vec<Scenario>, ScenarioError> {
+    let mut next = Vec::with_capacity(out.len() * values.len());
+    for sc in out {
+        for v in values {
+            let mut cell = sc.clone();
+            set(&mut cell, v)?;
+            next.push(cell);
         }
     }
-
-    /// Applies value `i` of this axis to a scenario clone, appending a
-    /// name suffix.
-    fn apply(&self, sc: &mut Scenario, i: usize) -> Result<(), ScenarioError> {
-        match self {
-            SweepAxis::Profile(v) => {
-                let p = v[i];
-                match &mut sc.workload {
-                    WorkloadSpec::Synthetic { profile, .. } => *profile = p,
-                    WorkloadSpec::Swf { .. } => {
-                        return Err(ScenarioError::Workload(
-                            "sweep.profile cannot apply to an SWF workload".into(),
-                        ))
-                    }
-                }
-                sc.name.push('-');
-                sc.name.push_str(p.key());
-            }
-            SweepAxis::BsldThreshold(v) => {
-                let th = v[i];
-                let wq = match sc.policy {
-                    PolicySpec::BsldThreshold { wq, .. } => wq,
-                    _ => WqThreshold::NoLimit,
-                };
-                sc.policy = PolicySpec::BsldThreshold { th, wq };
-                sc.name.push_str(&format!("-th{th}"));
-            }
-            SweepAxis::Wq(v) => {
-                let wq = v[i];
-                let th = match sc.policy {
-                    PolicySpec::BsldThreshold { th, .. } => th,
-                    _ => 2.0,
-                };
-                sc.policy = PolicySpec::BsldThreshold { th, wq };
-                sc.name.push_str(&format!("-wq{}", wq.label()));
-            }
-            SweepAxis::CapFraction(v) => {
-                sc.power.cap_fraction = Some(v[i]);
-                sc.name.push_str(&format!("-cap{}", v[i]));
-            }
-            SweepAxis::EnlargePct(v) => {
-                sc.cluster.enlarge_pct = v[i];
-                sc.name.push_str(&format!("-x{}", v[i]));
-            }
-            SweepAxis::Seed(v) => {
-                match &mut sc.workload {
-                    WorkloadSpec::Synthetic { seed, .. } => *seed = v[i],
-                    WorkloadSpec::Swf { .. } => {
-                        return Err(ScenarioError::Workload(
-                            "sweep.seed cannot apply to an SWF workload".into(),
-                        ))
-                    }
-                }
-                sc.name.push_str(&format!("-s{}", v[i]));
-            }
-            SweepAxis::Model(v) => {
-                sc.power.model = Some(v[i].clone());
-                sc.name.push_str(&format!("-m{}", v[i].label()));
-            }
-            // Handled directly by `ScenarioSet::expand` (the axis values
-            // are directory entries, resolved there).
-            SweepAxis::SwfDir(_) => unreachable!("SwfDir is expanded by ScenarioSet::expand"),
-        }
-        Ok(())
-    }
+    Ok(next)
 }
 
 /// The `.swf` files of `dir`, sorted by file name — the deterministic cell
@@ -1143,58 +1300,51 @@ impl ScenarioSet {
     /// a later axis would overwrite the earlier one's value while both
     /// name suffixes stick, mislabelling every cell.
     pub fn expand(&self) -> Result<Vec<Scenario>, ScenarioError> {
+        let err = |msg: String| ScenarioError::Parse { line: 0, msg };
         for (i, axis) in self.axes.iter().enumerate() {
+            if let SweepAxis::Knob(values) = axis {
+                let knob = values.first().map(KnobValue::knob);
+                if !knob.is_some_and(Knob::is_axis) || values.iter().any(|v| Some(v.knob()) != knob)
+                {
+                    return Err(err(format!(
+                        "sweep axis {} needs one or more values of one knob that has an axis",
+                        i + 1
+                    )));
+                }
+            }
             if self.axes[..i].iter().any(|a| a.key() == axis.key()) {
-                return Err(ScenarioError::Parse {
-                    line: 0,
-                    msg: format!("duplicate sweep axis sweep.{}", axis.key()),
-                });
+                return Err(err(format!("duplicate sweep axis sweep.{}", axis.key())));
             }
         }
         let mut out = vec![self.base.clone()];
         for axis in &self.axes {
-            if let SweepAxis::SwfDir(dir) = axis {
-                // The axis values are directory entries, resolved here
-                // (sorted by file name): one cell per trace, each keeping
-                // the base's cleaning flag. Only meaningful over an SWF
-                // base — a synthetic base has no path to replace.
-                if matches!(self.base.workload, WorkloadSpec::Synthetic { .. }) {
-                    return Err(ScenarioError::Workload(
-                        "sweep.swf_dir requires `workload = swf`".into(),
-                    ));
-                }
-                let files = list_swf_files(dir)?;
-                let mut next = Vec::with_capacity(out.len() * files.len());
-                for sc in &out {
-                    for file in &files {
-                        let mut cell = sc.clone();
+            out = match axis {
+                SweepAxis::Knob(values) => cartesian(&out, values, |cell, v| {
+                    v.apply(cell)
+                        .map_err(|e| ScenarioError::Workload(format!("sweep.{e}")))
+                })?,
+                SweepAxis::SwfDir(dir) => {
+                    // The axis values are directory entries, resolved here
+                    // (sorted by file name): one cell per trace, each
+                    // keeping the base's cleaning flag. Only meaningful
+                    // over an SWF base — a synthetic base has no path to
+                    // replace.
+                    if matches!(self.base.workload, WorkloadSpec::Synthetic { .. }) {
+                        return Err(ScenarioError::Workload(
+                            "sweep.swf_dir requires `workload = swf`".into(),
+                        ));
+                    }
+                    cartesian(&out, &list_swf_files(dir)?, |cell, file| {
                         if let WorkloadSpec::Swf { path, .. } = &mut cell.workload {
                             path.clone_from(file);
                         }
                         let stem = file.file_stem().and_then(|s| s.to_str()).unwrap_or("trace");
                         cell.name.push('-');
                         cell.name.push_str(&line_safe(stem));
-                        next.push(cell);
-                    }
+                        Ok(())
+                    })?
                 }
-                out = next;
-                continue;
-            }
-            if axis.len() == 0 {
-                return Err(ScenarioError::Parse {
-                    line: 0,
-                    msg: format!("sweep.{} has no values", axis.key()),
-                });
-            }
-            let mut next = Vec::with_capacity(out.len() * axis.len());
-            for sc in &out {
-                for i in 0..axis.len() {
-                    let mut cell = sc.clone();
-                    axis.apply(&mut cell, i)?;
-                    next.push(cell);
-                }
-            }
-            out = next;
+            };
         }
         Ok(out)
     }
@@ -1337,13 +1487,8 @@ fn parse_policy(s: &str) -> Result<PolicySpec, String> {
         let (th, wq) = body
             .split_once('/')
             .ok_or_else(|| format!("bad policy {s:?}: expected bsld:<th>/<wq>"))?;
-        let th: f64 = th
-            .parse()
-            .ok()
-            .filter(|v: &f64| v.is_finite())
-            .ok_or_else(|| format!("bad BSLD threshold {th:?}"))?;
         return Ok(PolicySpec::BsldThreshold {
-            th,
+            th: parse_bsld_th(th)?,
             wq: WqThreshold::parse(wq)?,
         });
     }
@@ -1367,6 +1512,29 @@ fn parse_opt<T: std::str::FromStr>(s: &str, what: &str) -> Result<Option<T>, Str
     s.parse()
         .map(Some)
         .map_err(|_| format!("bad {what} value {s:?}"))
+}
+
+fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
+    s.parse().map_err(|_| format!("bad {what} {s:?}"))
+}
+
+fn parse_bsld_th(s: &str) -> Result<f64, String> {
+    s.parse()
+        .ok()
+        .filter(|v: &f64| v.is_finite())
+        .ok_or_else(|| format!("bad BSLD threshold {s:?}"))
+}
+
+/// A power-cap fraction: positive and finite, or `none`.
+fn parse_cap(s: &str) -> Result<Option<f64>, String> {
+    if s == "none" {
+        return Ok(None);
+    }
+    s.parse()
+        .ok()
+        .filter(|v: &f64| v.is_finite() && *v > 0.0)
+        .map(Some)
+        .ok_or_else(|| format!("bad cap fraction {s:?} (must be positive)"))
 }
 
 impl Scenario {
@@ -1491,16 +1659,10 @@ impl ScenarioSet {
         let _ = writeln!(out, "cell_budget_s = {}", fmt_opt(&self.cell_budget_s));
         for axis in &self.axes {
             let values = match axis {
-                SweepAxis::Profile(v) => v.iter().map(|p| p.key().to_string()).collect::<Vec<_>>(),
-                SweepAxis::BsldThreshold(v) => v.iter().map(|x| x.to_string()).collect(),
-                SweepAxis::Wq(v) => v.iter().map(|w| w.label()).collect(),
-                SweepAxis::CapFraction(v) => v.iter().map(|x| x.to_string()).collect(),
-                SweepAxis::EnlargePct(v) => v.iter().map(|x| x.to_string()).collect(),
-                SweepAxis::Seed(v) => v.iter().map(|x| x.to_string()).collect(),
                 // Values are whitespace-split on the way back in, so an
-                // empirical CSV path containing spaces cannot ride this
+                // empirical CSV path containing spaces cannot ride a model
                 // axis (use per-scenario `model =` lines instead).
-                SweepAxis::Model(v) => v.iter().map(|m| m.render()).collect(),
+                SweepAxis::Knob(v) => v.iter().map(KnobValue::render).collect::<Vec<_>>(),
                 // A single path value (may contain spaces — it is not
                 // whitespace-split on the way back in).
                 SweepAxis::SwfDir(dir) => vec![line_safe(&dir.display().to_string())],
@@ -1547,99 +1709,12 @@ impl ScenarioSet {
             let value = value.trim();
             let e = |msg: String| err(lineno, msg);
             if let Some(axis_key) = key.strip_prefix("sweep.") {
-                // swf_dir takes a single path operand — paths may contain
-                // spaces, so it is exempt from the whitespace split below.
-                if axis_key == "swf_dir" {
-                    if value.is_empty() {
-                        return Err(e("sweep.swf_dir needs a directory".into()));
-                    }
-                    if axes.iter().any(|a| a.key() == "swf_dir") {
-                        return Err(e("duplicate sweep axis sweep.swf_dir".into()));
-                    }
-                    axes.push(SweepAxis::SwfDir(PathBuf::from(value)));
-                    continue;
-                }
-                let parts: Vec<&str> = value.split_whitespace().collect();
-                if parts.is_empty() {
-                    return Err(e(format!("sweep.{axis_key} has no values")));
-                }
-                let axis = match axis_key {
-                    "profile" => SweepAxis::Profile(
-                        parts
-                            .iter()
-                            .map(|p| ProfileName::parse(p))
-                            .collect::<Result<_, _>>()
-                            .map_err(e)?,
-                    ),
-                    "bsld_th" => SweepAxis::BsldThreshold(
-                        parts
-                            .iter()
-                            .map(|p| {
-                                p.parse::<f64>()
-                                    .ok()
-                                    .filter(|v| v.is_finite())
-                                    .ok_or_else(|| format!("bad BSLD threshold {p:?}"))
-                            })
-                            .collect::<Result<_, _>>()
-                            .map_err(e)?,
-                    ),
-                    "wq" => SweepAxis::Wq(
-                        parts
-                            .iter()
-                            .map(|p| WqThreshold::parse(p))
-                            .collect::<Result<_, _>>()
-                            .map_err(e)?,
-                    ),
-                    "cap" => SweepAxis::CapFraction(
-                        parts
-                            .iter()
-                            .map(|p| {
-                                p.parse::<f64>()
-                                    .ok()
-                                    .filter(|v| v.is_finite() && *v > 0.0)
-                                    .ok_or_else(|| {
-                                        format!("bad cap fraction {p:?} (must be positive)")
-                                    })
-                            })
-                            .collect::<Result<_, _>>()
-                            .map_err(e)?,
-                    ),
-                    "enlarge_pct" => SweepAxis::EnlargePct(
-                        parts
-                            .iter()
-                            .map(|p| {
-                                p.parse::<u32>()
-                                    .map_err(|_| format!("bad enlargement {p:?}"))
-                            })
-                            .collect::<Result<_, _>>()
-                            .map_err(e)?,
-                    ),
-                    "seed" => SweepAxis::Seed(
-                        parts
-                            .iter()
-                            .map(|p| p.parse::<u64>().map_err(|_| format!("bad seed {p:?}")))
-                            .collect::<Result<_, _>>()
-                            .map_err(e)?,
-                    ),
-                    "model" => SweepAxis::Model(
-                        parts
-                            .iter()
-                            .map(|p| PowerModelSpec::parse(p))
-                            .collect::<Result<_, _>>()
-                            .map_err(e)?,
-                    ),
-                    other => return Err(e(format!(
-                        "unknown sweep axis {other:?} (profile, bsld_th, wq, cap, enlarge_pct, seed, model, swf_dir)"
-                    ))),
-                };
+                let axis = SweepAxis::parse(axis_key, value).map_err(e)?;
                 // A repeated axis would cartesian-multiply with itself:
                 // later applications overwrite the earlier value while both
                 // name suffixes stick, silently mislabelling every cell.
-                if axes.iter().any(|a: &SweepAxis| a.key() == axis.key()) {
-                    return Err(err(
-                        lineno,
-                        format!("duplicate sweep axis sweep.{}", axis.key()),
-                    ));
+                if axes.iter().any(|a| a.key() == axis.key()) {
+                    return Err(e(format!("duplicate sweep axis sweep.{}", axis.key())));
                 }
                 axes.push(axis);
                 continue;
@@ -1648,40 +1723,20 @@ impl ScenarioSet {
                 "scenario" => name = Some(value.to_string()),
                 "workload" => workload_kind = Some((lineno, value.to_string())),
                 "profile" => profile = Some(ProfileName::parse(value).map_err(e)?),
-                "jobs" => {
-                    jobs = Some(
-                        value
-                            .parse()
-                            .map_err(|_| e(format!("bad jobs {value:?}")))?,
-                    )
-                }
-                "seed" => {
-                    seed = Some(
-                        value
-                            .parse()
-                            .map_err(|_| e(format!("bad seed {value:?}")))?,
-                    )
-                }
-                "scale_cpus" => {
-                    scale_cpus = Some(
-                        value
-                            .parse()
-                            .map_err(|_| e(format!("bad scale_cpus {value:?}")))?,
-                    )
-                }
+                "jobs" => jobs = Some(parse_num(value, "jobs").map_err(e)?),
+                "seed" => seed = Some(parse_num(value, "seed").map_err(e)?),
+                "scale_cpus" => scale_cpus = Some(parse_num(value, "scale_cpus").map_err(e)?),
                 "beta" => beta = Some(parse_beta(value).map_err(e)?),
                 "swf_path" => swf_path = Some(PathBuf::from(value)),
                 "swf_clean" => swf_clean = Some(parse_bool(value).map_err(e)?),
                 "enlarge_pct" => {
-                    cluster.enlarge_pct = value
-                        .parse()
-                        .map_err(|_| e(format!("bad enlarge_pct {value:?}")))?
+                    cluster.enlarge_pct = parse_num(value, "enlarge_pct").map_err(e)?
                 }
                 "gears" => {
                     cluster.gears = if value == "paper" {
                         GearSpec::Paper
                     } else if let Some(n) = value.strip_prefix("interp:") {
-                        let n: u8 = n.parse().map_err(|_| e(format!("bad gear count {n:?}")))?;
+                        let n: u8 = parse_num(n, "gear count").map_err(e)?;
                         // Below-2 counts behave as 2 (mirrors `build`), so
                         // the clamped render form always re-parses to the
                         // same spec.
@@ -1691,14 +1746,7 @@ impl ScenarioSet {
                     }
                 }
                 "policy" => policy = parse_policy(value).map_err(e)?,
-                "cap" => {
-                    power.cap_fraction = parse_opt::<f64>(value, "cap").map_err(e)?;
-                    if let Some(f) = power.cap_fraction {
-                        if !f.is_finite() || f <= 0.0 {
-                            return Err(e(format!("cap fraction must be positive, got {f}")));
-                        }
-                    }
-                }
+                "cap" => power.cap_fraction = parse_cap(value).map_err(e)?,
                 "soft_escape" => {
                     power.soft_wq_escape = parse_opt(value, "soft_escape").map_err(e)?
                 }
@@ -1737,9 +1785,7 @@ impl ScenarioSet {
                 }
                 "trace" => engine.trace = parse_bool(value).map_err(e)?,
                 "replications" => {
-                    let n: u32 = value
-                        .parse()
-                        .map_err(|_| e(format!("bad replications {value:?}")))?;
+                    let n: u32 = parse_num(value, "replications").map_err(e)?;
                     if n == 0 {
                         return Err(e("replications must be at least 1".into()));
                     }
@@ -1983,9 +2029,12 @@ mod tests {
         let set = ScenarioSet {
             base: base(),
             axes: vec![
-                SweepAxis::BsldThreshold(vec![1.5, 3.0]),
-                SweepAxis::Wq(vec![WqThreshold::Limit(0), WqThreshold::NoLimit]),
-                SweepAxis::EnlargePct(vec![0, 50]),
+                SweepAxis::Knob([1.5, 3.0].map(KnobValue::BsldTh).to_vec()),
+                SweepAxis::Knob(vec![
+                    KnobValue::Wq(WqThreshold::Limit(0)),
+                    KnobValue::Wq(WqThreshold::NoLimit),
+                ]),
+                SweepAxis::Knob([0, 50].map(KnobValue::EnlargePct).to_vec()),
             ],
             replications: 1,
             cell_budget_s: None,
@@ -2038,6 +2087,68 @@ mod tests {
     }
 
     #[test]
+    fn knob_render_inverts_parse_for_every_knob() {
+        let samples = [
+            KnobValue::Profile(ProfileName::LlnlThunder),
+            KnobValue::Jobs(64),
+            KnobValue::Seed(u64::MAX),
+            KnobValue::BsldTh(1.5),
+            KnobValue::Wq(WqThreshold::NoLimit),
+            KnobValue::Wq(WqThreshold::Limit(4)),
+            KnobValue::Cap(Some(0.7)),
+            KnobValue::Cap(None),
+            KnobValue::Model(PowerModelSpec::Cubic),
+            KnobValue::Model(PowerModelSpec::Empirical(PathBuf::from("curves/a.csv"))),
+            KnobValue::EnlargePct(20),
+        ];
+        for v in &samples {
+            let knob = v.knob();
+            assert_eq!(Knob::from_key(knob.key()), Some(knob));
+            assert_eq!(knob.parse(&v.render()).as_ref(), Ok(v), "{v:?}");
+        }
+        for knob in Knob::ALL {
+            assert!(samples.iter().any(|v| v.knob() == knob), "{knob:?}");
+        }
+        for bad in ["0", "-0.5", "nan", "inf"] {
+            assert!(Knob::Cap.parse(bad).is_err(), "cap {bad}");
+        }
+        assert!(Knob::BsldTh.parse("inf").is_err());
+        assert!(Knob::EnlargePct.parse("-1").is_err());
+    }
+
+    #[test]
+    fn sweep_cap_none_clears_the_cap_and_jobs_has_no_axis() {
+        let mut capped = base();
+        capped.power.cap_fraction = Some(0.8);
+        let text = format!("{}sweep.cap = none 0.5\n", capped.render());
+        let set = ScenarioSet::parse(&text).unwrap();
+        assert_eq!(ScenarioSet::parse(&set.render()).unwrap(), set);
+        let cells = set.expand().unwrap();
+        assert_eq!(cells[0].name, "t-capnone");
+        assert_eq!(cells[0].power.cap_fraction, None);
+        assert_eq!(cells[1].power.cap_fraction, Some(0.5));
+        let jobs = format!("{}sweep.jobs = 10 20\n", base().render());
+        let err = ScenarioSet::parse(&jobs).unwrap_err().to_string();
+        assert!(err.contains("unknown sweep axis \"jobs\""), "{err}");
+    }
+
+    #[test]
+    fn expand_rejects_malformed_programmatic_axes() {
+        for values in [
+            vec![],
+            vec![KnobValue::Jobs(10), KnobValue::Jobs(20)],
+            vec![KnobValue::Seed(1), KnobValue::BsldTh(2.0)],
+        ] {
+            let set = ScenarioSet {
+                axes: vec![SweepAxis::Knob(values)],
+                ..ScenarioSet::single(base())
+            };
+            let err = set.expand().unwrap_err().to_string();
+            assert!(err.contains("sweep axis 1 needs"), "{err}");
+        }
+    }
+
+    #[test]
     fn degenerate_interpolated_gears_render_parseable() {
         let mut sc = base();
         sc.cluster.gears = GearSpec::Interpolated(1);
@@ -2067,8 +2178,8 @@ mod tests {
         let set = ScenarioSet {
             base: base(),
             axes: vec![
-                SweepAxis::BsldThreshold(vec![1.5]),
-                SweepAxis::BsldThreshold(vec![3.0]),
+                SweepAxis::Knob(vec![KnobValue::BsldTh(1.5)]),
+                SweepAxis::Knob(vec![KnobValue::BsldTh(3.0)]),
             ],
             replications: 1,
             cell_budget_s: None,
@@ -2354,12 +2465,16 @@ mod tests {
     fn sweep_model_axis_round_trips_and_expands() {
         let set = ScenarioSet {
             base: base(),
-            axes: vec![SweepAxis::Model(vec![
-                PowerModelSpec::Paper,
-                PowerModelSpec::Constant,
-                PowerModelSpec::Linear,
-                PowerModelSpec::Cubic,
-            ])],
+            axes: vec![SweepAxis::Knob(
+                [
+                    PowerModelSpec::Paper,
+                    PowerModelSpec::Constant,
+                    PowerModelSpec::Linear,
+                    PowerModelSpec::Cubic,
+                ]
+                .map(KnobValue::Model)
+                .to_vec(),
+            )],
             replications: 1,
             cell_budget_s: None,
         };
@@ -2451,7 +2566,7 @@ mod tests {
         };
         let set = ScenarioSet {
             base: sc,
-            axes: vec![SweepAxis::Profile(vec![ProfileName::Ctc])],
+            axes: vec![SweepAxis::Knob(vec![KnobValue::Profile(ProfileName::Ctc)])],
             replications: 1,
             cell_budget_s: None,
         };

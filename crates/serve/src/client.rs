@@ -61,11 +61,8 @@ impl Client {
     /// client-side; daemon and client need no shared filesystem).
     pub fn run(&mut self, scn_text: &str, overrides: &Overrides) -> Result<Json, String> {
         let mut pairs = vec![("op", Json::str("run")), ("scn", Json::str(scn_text))];
-        let ov = overrides_json(overrides);
-        if let Json::Obj(o) = &ov {
-            if !o.is_empty() {
-                pairs.push(("overrides", ov));
-            }
+        if *overrides != Overrides::default() {
+            pairs.push(("overrides", overrides.to_json()));
         }
         self.request(&Json::obj(pairs))
     }
@@ -104,64 +101,31 @@ impl Client {
     }
 }
 
-/// Renders overrides back to their wire form (inverse of
-/// [`Overrides::from_json`]).
-pub fn overrides_json(ov: &Overrides) -> Json {
-    let mut pairs: Vec<(&str, Json)> = Vec::new();
-    if let Some(th) = ov.bsld_th {
-        pairs.push(("bsld_th", Json::Num(th)));
-    }
-    if let Some(wq) = ov.wq {
-        pairs.push(("wq", Json::str(wq.label().to_ascii_lowercase())));
-    }
-    if let Some(cap) = ov.cap {
-        pairs.push((
-            "cap",
-            match cap {
-                Some(f) => Json::Num(f),
-                None => Json::str("none"),
-            },
-        ));
-    }
-    if let Some(model) = &ov.model {
-        pairs.push(("model", Json::str(model.label())));
-    }
-    if let Some(jobs) = ov.jobs {
-        pairs.push(("jobs", Json::Num(jobs as f64)));
-    }
-    if let Some(seed) = ov.seed {
-        pairs.push(("seed", Json::Num(seed as f64)));
-    }
-    if let Some(p) = ov.profile {
-        pairs.push(("profile", Json::str(p.key())));
-    }
-    if let Some(pct) = ov.enlarge_pct {
-        pairs.push(("enlarge_pct", Json::Num(f64::from(pct))));
-    }
-    if let Some(b) = ov.budget_s {
-        pairs.push(("budget_s", Json::Num(b)));
-    }
-    Json::obj(pairs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn overrides_round_trip_through_the_wire_form() {
-        let ov = Overrides {
-            bsld_th: Some(1.5),
-            wq: Some(bsld_core::WqThreshold::NoLimit),
-            cap: Some(None),
-            jobs: Some(64),
-            seed: Some(9),
-            enlarge_pct: Some(20),
-            budget_s: Some(3.5),
-            ..Overrides::default()
-        };
-        let wire = overrides_json(&ov);
-        let back = Overrides::from_json(&wire).unwrap();
-        assert_eq!(back, ov);
+        use bsld_core::scenario::{PowerModelSpec, ProfileName};
+        for model in [
+            PowerModelSpec::Paper,
+            PowerModelSpec::Empirical("examples/power_empirical.csv".into()),
+        ] {
+            let ov = Overrides {
+                bsld_th: Some(1.5),
+                wq: Some(bsld_core::WqThreshold::NoLimit),
+                cap: Some(None),
+                model: Some(model),
+                jobs: Some(64),
+                seed: Some(9),
+                profile: Some(ProfileName::Sdsc),
+                enlarge_pct: Some(20),
+                budget_s: Some(3.5),
+            };
+            let wire = ov.to_json();
+            let back = Overrides::from_json(&wire).unwrap();
+            assert_eq!(back, ov);
+        }
     }
 }

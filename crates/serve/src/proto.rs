@@ -21,7 +21,7 @@
 //! `{"ok":false,"error":"…"}` lines — a malformed or torn request can
 //! never take the daemon down.
 
-use bsld_core::scenario::{PolicySpec, PowerModelSpec, ProfileName, ScenarioSet, WorkloadSpec};
+use bsld_core::scenario::{Knob, KnobKind, KnobValue, PowerModelSpec, ProfileName, ScenarioSet};
 use bsld_core::WqThreshold;
 use bsld_metrics::Json;
 
@@ -60,9 +60,10 @@ pub enum Request {
     Shutdown,
 }
 
-/// What-if knob overrides: each maps onto the same semantics as its
-/// sweep-axis or CLI-flag counterpart, including the sweep's name
-/// suffixes (`-th2`, `-cap0.7`, …) so reply tables stay self-describing.
+/// What-if knob overrides: each field is one knob of the
+/// [`bsld_core::scenario::Knob`] table, applied to the base scenario with
+/// the same semantics and name suffixes (`-th2`, `-cap0.7`, …) as a
+/// one-value sweep axis, so reply tables stay self-describing.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct Overrides {
     /// `sweep.bsld_th` counterpart: policy threshold.
@@ -73,7 +74,7 @@ pub struct Overrides {
     pub cap: Option<Option<f64>>,
     /// `sweep.model` counterpart: power-model selection.
     pub model: Option<PowerModelSpec>,
-    /// `--jobs` counterpart (synthetic workloads only).
+    /// `jobs =` counterpart (synthetic workloads only).
     pub jobs: Option<usize>,
     /// `sweep.seed` counterpart (synthetic workloads only).
     pub seed: Option<u64>,
@@ -148,142 +149,124 @@ impl Request {
 
 impl Overrides {
     /// Parses the `"overrides"` object, rejecting unknown keys so a typo
-    /// cannot silently run the un-overridden scenario.
+    /// cannot silently run the un-overridden scenario. A knob's value is
+    /// a JSON number or string by its [`KnobKind`], parsed by the knob
+    /// table from its text.
     pub fn from_json(v: &Json) -> Result<Overrides, String> {
         let Json::Obj(pairs) = v else {
             return Err("\"overrides\" must be an object".to_string());
         };
         let mut ov = Overrides::default();
         for (key, val) in pairs {
-            match key.as_str() {
-                "bsld_th" => {
-                    ov.bsld_th = Some(val.as_f64().ok_or("override bsld_th must be a number")?);
+            if key == "budget_s" || key == "cell_budget_s" {
+                let b = val.as_f64().ok_or("override budget_s must be a number")?;
+                if !b.is_finite() || b < 0.0 {
+                    return Err("override budget_s must be finite and >= 0".to_string());
                 }
-                "wq" => {
-                    let text = match val {
-                        Json::Str(s) => s.clone(),
-                        Json::Num(_) => {
-                            let n = val
-                                .as_u64()
-                                .ok_or("override wq must be \"no\" or a whole number")?;
-                            n.to_string()
-                        }
-                        _ => return Err("override wq must be \"no\" or a whole number".into()),
-                    };
-                    ov.wq = Some(WqThreshold::parse(&text)?);
-                }
-                "cap" => {
-                    ov.cap = Some(match val {
-                        Json::Str(s) if s == "none" => None,
-                        Json::Num(x) => Some(*x),
-                        _ => return Err("override cap must be a fraction or \"none\"".to_string()),
-                    });
-                }
-                "model" => {
-                    let s = val.as_str().ok_or("override model must be a string")?;
-                    ov.model = Some(PowerModelSpec::parse(s)?);
-                }
-                "jobs" => {
-                    let n = val.as_u64().ok_or("override jobs must be a whole number")?;
-                    ov.jobs = Some(n as usize);
-                }
-                "seed" => {
-                    ov.seed = Some(val.as_u64().ok_or("override seed must be a whole number")?);
-                }
-                "profile" => {
-                    let s = val.as_str().ok_or("override profile must be a string")?;
-                    ov.profile = Some(ProfileName::parse(s)?);
-                }
-                "enlarge_pct" => {
-                    let n = val
-                        .as_u64()
-                        .ok_or("override enlarge_pct must be a whole number")?;
-                    ov.enlarge_pct =
-                        Some(u32::try_from(n).map_err(|_| "override enlarge_pct is out of range")?);
-                }
-                "budget_s" | "cell_budget_s" => {
-                    let b = val.as_f64().ok_or("override budget_s must be a number")?;
-                    if !b.is_finite() || b < 0.0 {
-                        return Err("override budget_s must be finite and >= 0".to_string());
-                    }
-                    ov.budget_s = Some(b);
-                }
-                other => {
-                    return Err(format!(
-                        "unknown override {other:?} (expected bsld_th, wq, cap, model, jobs, \
-                         seed, profile, enlarge_pct or budget_s)"
-                    ))
-                }
+                ov.budget_s = Some(b);
+                continue;
             }
+            let knob = Knob::from_key(key).ok_or_else(|| {
+                let keys: Vec<&str> = Knob::ALL.iter().map(|k| k.key()).collect();
+                format!(
+                    "unknown override {key:?} (expected {} or budget_s)",
+                    keys.join(", ")
+                )
+            })?;
+            let text = match (val, knob.kind()) {
+                (Json::Str(s), KnobKind::Word) => Some(s.clone()),
+                (Json::Str(s), _) if s == "none" => Some(s.clone()),
+                (Json::Num(x), KnobKind::Real) => Some(x.to_string()),
+                (Json::Num(_), _) => val.as_u64().map(|n| n.to_string()),
+                _ => None,
+            };
+            let want = match knob.kind() {
+                KnobKind::Int => "a whole number",
+                KnobKind::Real => "a number",
+                KnobKind::Word => "a string",
+            };
+            let text = text.ok_or_else(|| format!("override {key} must be {want}"))?;
+            ov.set(knob.parse(&text)?);
         }
         Ok(ov)
     }
 
-    /// Applies every knob (except the request-level `budget_s`) to a
-    /// parsed scenario set, mirroring the corresponding sweep-axis
-    /// semantics — including the cell-name suffixes, so the reply table
-    /// shows what was actually run.
+    /// Parses `query run --set key=value` pairs: a value that reads as a
+    /// finite number ships as a JSON number, anything else as a string,
+    /// then [`Overrides::from_json`] decides.
+    pub fn from_sets<S: AsRef<str>>(sets: &[S]) -> Result<Overrides, String> {
+        let mut pairs = Vec::new();
+        for kv in sets {
+            let kv = kv.as_ref();
+            let (k, v) = kv
+                .split_once('=')
+                .ok_or_else(|| format!("bad --set {kv:?}: expected key=value"))?;
+            pairs.push((k.to_string(), wire_value(v)));
+        }
+        Overrides::from_json(&Json::Obj(pairs))
+    }
+
+    /// The wire form, the inverse of [`Overrides::from_json`].
+    pub fn to_json(&self) -> Json {
+        let mut pairs: Vec<(String, Json)> = self
+            .knobs()
+            .iter()
+            .map(|v| (v.knob().key().to_string(), wire_value(&v.render())))
+            .collect();
+        if let Some(b) = self.budget_s {
+            pairs.push(("budget_s".to_string(), Json::Num(b)));
+        }
+        Json::Obj(pairs)
+    }
+
+    /// The knob values, in the table's fixed apply order.
+    fn knobs(&self) -> Vec<KnobValue> {
+        [
+            self.profile.map(KnobValue::Profile),
+            self.jobs.map(KnobValue::Jobs),
+            self.seed.map(KnobValue::Seed),
+            self.bsld_th.map(KnobValue::BsldTh),
+            self.wq.map(KnobValue::Wq),
+            self.cap.map(KnobValue::Cap),
+            self.model.clone().map(KnobValue::Model),
+            self.enlarge_pct.map(KnobValue::EnlargePct),
+        ]
+        .into_iter()
+        .flatten()
+        .collect()
+    }
+
+    fn set(&mut self, v: KnobValue) {
+        match v {
+            KnobValue::Profile(p) => self.profile = Some(p),
+            KnobValue::Jobs(n) => self.jobs = Some(n),
+            KnobValue::Seed(s) => self.seed = Some(s),
+            KnobValue::BsldTh(th) => self.bsld_th = Some(th),
+            KnobValue::Wq(wq) => self.wq = Some(wq),
+            KnobValue::Cap(cap) => self.cap = Some(cap),
+            KnobValue::Model(m) => self.model = Some(m),
+            KnobValue::EnlargePct(pct) => self.enlarge_pct = Some(pct),
+        }
+    }
+
+    /// Applies every knob (except the request-level `budget_s`) to the
+    /// base scenario *before* expansion, so a sweep on the same knob
+    /// still wins.
     pub fn apply(&self, set: &mut ScenarioSet) -> Result<(), String> {
-        let sc = &mut set.base;
-        if let Some(p) = self.profile {
-            match &mut sc.workload {
-                WorkloadSpec::Synthetic { profile, .. } => *profile = p,
-                WorkloadSpec::Swf { .. } => {
-                    return Err("override profile cannot apply to an SWF workload".into())
-                }
-            }
-            sc.name.push('-');
-            sc.name.push_str(p.key());
-        }
-        if let Some(n) = self.jobs {
-            match &mut sc.workload {
-                WorkloadSpec::Synthetic { jobs, .. } => *jobs = n,
-                WorkloadSpec::Swf { .. } => {
-                    return Err("override jobs cannot apply to an SWF workload".into())
-                }
-            }
-        }
-        if let Some(s) = self.seed {
-            match &mut sc.workload {
-                WorkloadSpec::Synthetic { seed, .. } => *seed = s,
-                WorkloadSpec::Swf { .. } => {
-                    return Err("override seed cannot apply to an SWF workload".into())
-                }
-            }
-            sc.name.push_str(&format!("-s{s}"));
-        }
-        if let Some(th) = self.bsld_th {
-            let wq = match sc.policy {
-                PolicySpec::BsldThreshold { wq, .. } => wq,
-                _ => WqThreshold::NoLimit,
-            };
-            sc.policy = PolicySpec::BsldThreshold { th, wq };
-            sc.name.push_str(&format!("-th{th}"));
-        }
-        if let Some(wq) = self.wq {
-            let th = match sc.policy {
-                PolicySpec::BsldThreshold { th, .. } => th,
-                _ => 2.0,
-            };
-            sc.policy = PolicySpec::BsldThreshold { th, wq };
-            sc.name.push_str(&format!("-wq{}", wq.label()));
-        }
-        if let Some(cap) = self.cap {
-            sc.power.cap_fraction = cap;
-            match cap {
-                Some(f) => sc.name.push_str(&format!("-cap{f}")),
-                None => sc.name.push_str("-capnone"),
-            }
-        }
-        if let Some(model) = &self.model {
-            sc.power.model = Some(model.clone());
-            sc.name.push_str(&format!("-m{}", model.label()));
-        }
-        if let Some(pct) = self.enlarge_pct {
-            sc.cluster.enlarge_pct = pct;
-            sc.name.push_str(&format!("-x{pct}"));
+        for v in self.knobs() {
+            v.apply(&mut set.base)
+                .map_err(|e| format!("override {e}"))?;
         }
         Ok(())
+    }
+}
+
+/// A text value on the wire: a finite number as a JSON number, anything
+/// else as a string.
+fn wire_value(text: &str) -> Json {
+    match text.parse::<f64>() {
+        Ok(x) if x.is_finite() => Json::Num(x),
+        _ => Json::str(text),
     }
 }
 
@@ -295,6 +278,7 @@ pub fn error_reply(msg: &str) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bsld_core::scenario::PolicySpec;
 
     #[test]
     fn parses_every_op() {
@@ -347,6 +331,8 @@ mod tests {
             "{\"op\":\"run\",\"scn\":\"x\",\"overrides\":{\"budget_s\":-1}}",
             "{\"op\":\"run\",\"scn\":\"x\",\"overrides\":{\"cap\":\"half\"}}",
             "{\"op\":\"run\",\"scn\":\"x\",\"overrides\":{\"wq\":1.5}}",
+            "{\"op\":\"run\",\"scn\":\"x\",\"overrides\":{\"cap\":0}}",
+            "{\"op\":\"run\",\"scn\":\"x\",\"overrides\":{\"cap\":-0.5}}",
             "{\"op\":\"cache\",\"swf\":42}",
             "{\"op\":\"cache\",\"swf\":\"/tmp/t.swf\",\"clear\":true}",
         ] {
@@ -383,6 +369,39 @@ mod tests {
             let ov = Overrides::from_json(&Json::parse(ov_json).unwrap()).unwrap();
             let err = ov.apply(&mut set).unwrap_err();
             assert!(err.contains("SWF"), "{ov_json}: {err}");
+        }
+    }
+
+    #[test]
+    fn wire_types_follow_the_knob_kind() {
+        // Accepted: numbers for numeric knobs, strings (or whole numbers)
+        // for word knobs, and "none" for cap.
+        for ok in [
+            "{\"bsld_th\":2}",
+            "{\"wq\":\"4\"}",
+            "{\"wq\":4}",
+            "{\"cap\":\"none\"}",
+            "{\"jobs\":1e3}",
+            "{\"model\":\"empirical:p.csv\"}",
+        ] {
+            assert!(
+                Overrides::from_json(&Json::parse(ok).unwrap()).is_ok(),
+                "{ok}"
+            );
+        }
+        for bad in [
+            "{\"bsld_th\":\"2\"}",
+            "{\"jobs\":\"64\"}",
+            "{\"jobs\":1.5}",
+            "{\"seed\":9007199254740993e3}",
+            "{\"cap\":\"0.5\"}",
+            "{\"profile\":3}",
+            "{\"enlarge_pct\":4294967296}",
+        ] {
+            assert!(
+                Overrides::from_json(&Json::parse(bad).unwrap()).is_err(),
+                "{bad}"
+            );
         }
     }
 

@@ -10,7 +10,7 @@
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 use bsld::core::scenario::{
-    PolicySpec, ProfileName, Scenario, ScenarioSet, SleepSpec, SweepAxis, WorkloadSpec,
+    KnobValue, PolicySpec, ProfileName, Scenario, ScenarioSet, SleepSpec, SweepAxis, WorkloadSpec,
 };
 use bsld::core::WqThreshold;
 
@@ -32,8 +32,8 @@ fn main() {
     let set = ScenarioSet {
         base,
         axes: vec![
-            SweepAxis::BsldThreshold(vec![1.5, 2.0, 3.0]),
-            SweepAxis::CapFraction(vec![0.6, 0.8]),
+            SweepAxis::Knob([1.5, 2.0, 3.0].map(KnobValue::BsldTh).to_vec()),
+            SweepAxis::Knob([Some(0.6), Some(0.8)].map(KnobValue::Cap).to_vec()),
         ],
         replications: 1,
         cell_budget_s: None,

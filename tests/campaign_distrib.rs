@@ -15,7 +15,9 @@ use bsld::core::campaign::{
 use bsld::core::distrib::{
     merge_campaign, run_worker, shard_of, worker_manifest_file, Shard, SPEC_FILE,
 };
-use bsld::core::scenario::{ProfileName, Scenario, ScenarioSet, SweepAxis, WorkloadSpec};
+use bsld::core::scenario::{
+    KnobValue, ProfileName, Scenario, ScenarioSet, SweepAxis, WorkloadSpec,
+};
 use proptest::prelude::*;
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -33,7 +35,9 @@ fn campaign_set(replications: u32) -> ScenarioSet {
     });
     ScenarioSet {
         base,
-        axes: vec![SweepAxis::BsldThreshold(vec![1.5, 2.0, 3.0])],
+        axes: vec![SweepAxis::Knob(
+            [1.5, 2.0, 3.0].map(KnobValue::BsldTh).to_vec(),
+        )],
         replications,
         cell_budget_s: None,
     }
@@ -57,8 +61,8 @@ proptest! {
         th10.sort_unstable();
         th10.dedup();
         let mut set = campaign_set(reps);
-        set.axes = vec![SweepAxis::BsldThreshold(
-            th10.into_iter().map(|t| t as f64 / 10.0).collect(),
+        set.axes = vec![SweepAxis::Knob(
+            th10.into_iter().map(|t| KnobValue::BsldTh(t as f64 / 10.0)).collect(),
         )];
         let campaign = Campaign::plan(&set).map_err(TestCaseError::fail)?;
         let mut assigned: Vec<HashSet<(CellId, u32)>> = vec![HashSet::new(); n as usize];
@@ -83,8 +87,8 @@ proptest! {
 fn shard_assignment_survives_axis_permutation() {
     let mut a = campaign_set(2);
     a.axes = vec![
-        SweepAxis::BsldThreshold(vec![1.5, 3.0]),
-        SweepAxis::EnlargePct(vec![0, 50]),
+        SweepAxis::Knob([1.5, 3.0].map(KnobValue::BsldTh).to_vec()),
+        SweepAxis::Knob([0, 50].map(KnobValue::EnlargePct).to_vec()),
     ];
     let mut b = a.clone();
     b.axes.reverse();
@@ -330,7 +334,9 @@ fn zero_budget_records_failed_rows_and_completes() {
 #[test]
 fn infeasible_cell_fails_but_sweep_completes_everywhere() {
     let mut set = campaign_set(2);
-    set.axes = vec![SweepAxis::CapFraction(vec![0.001, 1.0])];
+    set.axes = vec![SweepAxis::Knob(
+        [Some(0.001), Some(1.0)].map(KnobValue::Cap).to_vec(),
+    )];
     let single = tmp_dir("capsingle");
     let out = run_campaign(&set, &CampaignOptions::fresh(2, &single), None).unwrap();
     assert_eq!(out.total_units, 4);

@@ -10,7 +10,7 @@ use bsld::core::campaign::{
     read_manifest, run_campaign, CampaignOptions, CellId, RepRow, MANIFEST_FILE, RESULTS_FILE,
 };
 use bsld::core::scenario::{
-    OutputSpec, ProfileName, Scenario, ScenarioSet, SweepAxis, WorkloadSpec,
+    KnobValue, OutputSpec, ProfileName, Scenario, ScenarioSet, SweepAxis, WorkloadSpec,
 };
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -28,7 +28,7 @@ fn campaign_set(replications: u32) -> ScenarioSet {
     });
     ScenarioSet {
         base,
-        axes: vec![SweepAxis::BsldThreshold(vec![1.5, 3.0])],
+        axes: vec![SweepAxis::Knob([1.5, 3.0].map(KnobValue::BsldTh).to_vec())],
         replications,
         cell_budget_s: None,
     }
@@ -306,7 +306,7 @@ fn cell_ids_are_semantic_content_hashes() {
 #[test]
 fn duplicate_cells_are_rejected() {
     let mut set = campaign_set(1);
-    set.axes = vec![SweepAxis::Seed(vec![5, 5])];
+    set.axes = vec![SweepAxis::Knob(vec![KnobValue::Seed(5); 2])];
     let err = run_campaign(&set, &CampaignOptions::in_memory(1), None)
         .unwrap_err()
         .to_string();

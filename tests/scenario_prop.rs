@@ -6,8 +6,8 @@
 use std::path::PathBuf;
 
 use bsld::core::scenario::{
-    ClusterSpec, EngineSpec, GearSpec, OutputSpec, PolicySpec, PowerModelSpec, PowerSpec,
-    ProfileName, Scenario, ScenarioSet, SleepSpec, SweepAxis, WorkloadSpec,
+    ClusterSpec, EngineSpec, GearSpec, KnobValue, OutputSpec, PolicySpec, PowerModelSpec,
+    PowerSpec, ProfileName, Scenario, ScenarioSet, SleepSpec, SweepAxis, WorkloadSpec,
 };
 use bsld::core::WqThreshold;
 use bsld::powercap::{SleepConfig, SleepState};
@@ -247,12 +247,24 @@ fn arb_axis() -> BoxedStrategy<SweepAxis> {
         ),
     )
         .prop_map(|(kind, raw)| match kind {
-            0 => SweepAxis::Profile(raw.iter().map(|r| profile_of(r.0)).collect()),
-            1 => SweepAxis::BsldThreshold(raw.iter().map(|r| r.1 as f64 / 10.0).collect()),
-            2 => SweepAxis::Wq(raw.iter().map(|r| r.2).collect()),
-            3 => SweepAxis::CapFraction(raw.iter().map(|r| r.3 as f64 / 20.0).collect()),
-            4 => SweepAxis::EnlargePct(raw.iter().map(|r| r.4).collect()),
-            5 => SweepAxis::Seed(raw.iter().map(|r| r.5).collect()),
+            0 => SweepAxis::Knob(
+                raw.iter()
+                    .map(|r| KnobValue::Profile(profile_of(r.0)))
+                    .collect(),
+            ),
+            1 => SweepAxis::Knob(
+                raw.iter()
+                    .map(|r| KnobValue::BsldTh(r.1 as f64 / 10.0))
+                    .collect(),
+            ),
+            2 => SweepAxis::Knob(raw.iter().map(|r| KnobValue::Wq(r.2)).collect()),
+            3 => SweepAxis::Knob(
+                raw.iter()
+                    .map(|r| KnobValue::Cap(Some(r.3 as f64 / 20.0)))
+                    .collect(),
+            ),
+            4 => SweepAxis::Knob(raw.iter().map(|r| KnobValue::EnlargePct(r.4)).collect()),
+            5 => SweepAxis::Knob(raw.iter().map(|r| KnobValue::Seed(r.5)).collect()),
             // Model values must be pairwise distinct on the value level
             // (two kinds can collide only via Empirical paths, which the
             // deterministic bit pattern keeps unique), and whitespace-free
@@ -263,7 +275,7 @@ fn arb_axis() -> BoxedStrategy<SweepAxis> {
                 models.dedup_by(|a, b| a == b);
                 models.sort_by_key(|m| m.render());
                 models.dedup();
-                SweepAxis::Model(models)
+                SweepAxis::Knob(models.into_iter().map(KnobValue::Model).collect())
             }
         })
         .boxed()
@@ -274,7 +286,7 @@ fn dedup_axes(axes: Vec<SweepAxis>) -> Vec<SweepAxis> {
     let mut seen = Vec::new();
     let mut out = Vec::new();
     for a in axes {
-        let key = std::mem::discriminant(&a);
+        let key = a.key();
         if !seen.contains(&key) {
             seen.push(key);
             out.push(a);
@@ -343,13 +355,7 @@ proptest! {
         let set = ScenarioSet { base, axes, replications: 1, cell_budget_s: None };
         let cells = set.expand().map_err(TestCaseError::fail)?;
         let expected: usize = set.axes.iter().map(|a| match a {
-            SweepAxis::Profile(v) => v.len(),
-            SweepAxis::BsldThreshold(v) => v.len(),
-            SweepAxis::Wq(v) => v.len(),
-            SweepAxis::CapFraction(v) => v.len(),
-            SweepAxis::EnlargePct(v) => v.len(),
-            SweepAxis::Seed(v) => v.len(),
-            SweepAxis::Model(v) => v.len(),
+            SweepAxis::Knob(v) => v.len(),
             // arb_axis never generates SwfDir (its width depends on a real
             // directory); covered by dedicated unit tests instead.
             SweepAxis::SwfDir(_) => unreachable!("not generated"),

@@ -9,7 +9,7 @@ use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU32, Ordering};
 
-use bsld::core::scenario::ScenarioSet;
+use bsld::core::scenario::{PowerModelSpec, ScenarioSet};
 use bsld::core::{sweep_report, CellOutcome};
 use bsld::metrics::Json;
 use bsld::serve::{Client, Overrides, ServeConfig, Server, StateConfig};
@@ -202,6 +202,53 @@ fn torn_and_malformed_requests_never_take_the_daemon_down() {
     let ok = client.run(SCN, &Overrides::default()).unwrap();
     assert_eq!(ok.get("ok").and_then(Json::as_bool), Some(true));
 
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
+#[test]
+fn knob_overrides_are_validated_and_carried_by_the_client() {
+    let (socket, handle) = spawn_daemon(small_config(scratch_socket()));
+    let mut client = Client::connect(&socket).unwrap();
+
+    // A non-positive cap is refused when the request is parsed, with a
+    // structured error — both as typed client overrides and as raw JSON.
+    for cap in [0.0, -0.5] {
+        let ov = Overrides {
+            cap: Some(Some(cap)),
+            ..Overrides::default()
+        };
+        let reply = client.run(SCN, &ov).unwrap();
+        assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+        let err = reply.get("error").and_then(Json::as_str).unwrap();
+        assert!(err.contains("cap fraction"), "{err}");
+    }
+    let raw = Json::obj(vec![
+        ("op", Json::str("run")),
+        ("scn", Json::str(SCN)),
+        ("overrides", Json::parse("{\"cap\":0}").unwrap()),
+    ]);
+    let reply = client.request(&raw).unwrap();
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+
+    // An empirical power model travels in its `.scn` text form.
+    let csv = concat!(env!("CARGO_MANIFEST_DIR"), "/examples/power_empirical.csv");
+    let ov = Overrides {
+        model: Some(PowerModelSpec::Empirical(csv.into())),
+        ..Overrides::default()
+    };
+    let reply = client.run(SCN, &ov).unwrap();
+    assert_eq!(
+        reply.get("ok").and_then(Json::as_bool),
+        Some(true),
+        "{reply:?}"
+    );
+    let table = reply.get("table").and_then(Json::as_str).unwrap();
+    assert!(table.contains("demo-memp-power_empirical-th1.5"), "{table}");
+
+    // The daemon is still up.
+    let status = client.status().unwrap();
+    assert_eq!(status.get("ok").and_then(Json::as_bool), Some(true));
     client.shutdown().unwrap();
     handle.join().unwrap();
 }
