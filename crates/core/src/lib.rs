@@ -44,5 +44,5 @@ pub use campaign::{run_campaign, Campaign, CampaignOptions, CampaignOutcome, Cel
 pub use distrib::{merge_campaign, run_worker, MergeOutcome, Shard, WorkerOutcome};
 pub use policy::{BsldThresholdPolicy, PowerAwareConfig, WqThreshold};
 pub use report::{sweep_report, CellOutcome, SweepReport};
-pub use scenario::{set_swf_in_memory, swf_in_memory, Scenario, ScenarioResult, ScenarioSet};
+pub use scenario::{Scenario, ScenarioResult, ScenarioSet};
 pub use sim::{PowerCapConfig, PowerCappedResult, RunResult, Simulator};

@@ -14,7 +14,7 @@
 //! * [`PowerSpec`] — power cap, sleep ladder, dynamic boost, power model
 //!   selection ([`PowerModelSpec`]), ledger observation;
 //! * [`EngineSpec`] — backfilling substrate, resource selection,
-//!   incremental vs full-rescan engine, tracing;
+//!   incremental vs full-rescan engine;
 //! * [`OutputSpec`] — artifact directory.
 //!
 //! [`Scenario::run`] executes the spec end to end and returns a unified
@@ -197,29 +197,6 @@ pub enum WorkloadSpec {
     },
 }
 
-/// A/B oracle hook: when raised, [`WorkloadSpec::build_with_abort`] loads
-/// SWF traces through the original in-memory path (`read_to_string` →
-/// parse → clean) instead of the streaming path. The two are bit-identical
-/// — `tests/streaming_ab.rs` and the CI large-trace byte-diff prove it —
-/// and this toggle exists precisely so that proof can keep running
-/// end-to-end through the CLI. Not a [`WorkloadSpec`] field: the spec's
-/// `Debug` form keys the serve daemon's workload cache, and a mere replay
-/// mechanism must never produce a distinct cache identity.
-static SWF_IN_MEMORY: std::sync::atomic::AtomicBool = std::sync::atomic::AtomicBool::new(false);
-
-/// Forces (or restores) the in-memory SWF load path for every subsequent
-/// [`WorkloadSpec::build_with_abort`] in this process. See
-/// [`swf_in_memory`].
-pub fn set_swf_in_memory(enabled: bool) {
-    SWF_IN_MEMORY.store(enabled, std::sync::atomic::Ordering::SeqCst);
-}
-
-/// Whether the in-memory SWF load path is currently forced (A/B oracle
-/// hook; the streaming path is the default).
-pub fn swf_in_memory() -> bool {
-    SWF_IN_MEMORY.load(std::sync::atomic::Ordering::SeqCst)
-}
-
 impl WorkloadSpec {
     /// Materialises the jobs (generation or trace replay).
     pub fn build(&self) -> Result<Workload, ScenarioError> {
@@ -259,11 +236,7 @@ impl WorkloadSpec {
                 if abort.is_some_and(|f| f.load(std::sync::atomic::Ordering::SeqCst)) {
                     return Err(ScenarioError::Sim(bsld_sched::SimError::Aborted));
                 }
-                let trace = if swf_in_memory() {
-                    Self::load_swf_in_memory(path, *clean, abort)?
-                } else {
-                    Self::load_swf_streaming(path, *clean, abort)?
-                };
+                let trace = Self::load_swf_streaming(path, *clean, abort)?;
                 let name = path.file_stem().and_then(|s| s.to_str()).unwrap_or("trace");
                 Workload::from_swf_with_abort(name, &trace, abort)
                     .map_err(|_| ScenarioError::Sim(bsld_sched::SimError::Aborted))
@@ -305,31 +278,6 @@ impl WorkloadSpec {
         } else {
             stream.collect_trace().map_err(map_parse)
         }
-    }
-
-    /// The original `read_to_string` → parse → clean load path, kept as
-    /// the A/B oracle for the streaming one (see [`set_swf_in_memory`]).
-    /// Every error maps exactly as the streaming path maps it, so the two
-    /// are indistinguishable from the outside.
-    fn load_swf_in_memory(
-        path: &std::path::Path,
-        clean: bool,
-        abort: Option<&std::sync::atomic::AtomicBool>,
-    ) -> Result<bsld_swf::SwfTrace, ScenarioError> {
-        let text = std::fs::read_to_string(path)
-            .map_err(|e| ScenarioError::Io(format!("cannot read {}: {e}", path.display())))?;
-        let mut trace = bsld_swf::parse_swf_with_abort(&text, abort).map_err(|e| {
-            if e.kind == bsld_swf::ParseErrorKind::Aborted {
-                ScenarioError::Sim(bsld_sched::SimError::Aborted)
-            } else {
-                ScenarioError::Workload(e.to_string())
-            }
-        })?;
-        if clean {
-            bsld_swf::clean_trace_with_abort(&mut trace, &bsld_swf::CleanConfig::default(), abort)
-                .map_err(|_| ScenarioError::Sim(bsld_sched::SimError::Aborted))?;
-        }
-        Ok(trace)
     }
 }
 
@@ -568,8 +516,6 @@ pub struct EngineSpec {
     pub incremental: bool,
     /// Resource selection policy.
     pub selection: SelectionPolicy,
-    /// Collect a scheduling trace.
-    pub trace: bool,
 }
 
 impl Default for EngineSpec {
@@ -579,7 +525,6 @@ impl Default for EngineSpec {
             backfill: true,
             incremental: true,
             selection: SelectionPolicy::FirstFit,
-            trace: false,
         }
     }
 }
@@ -620,7 +565,7 @@ pub struct Scenario {
 /// [`PowerReport`].
 #[derive(Debug, Clone)]
 pub struct ScenarioResult {
-    /// Metrics, outcomes, trace and engine counters.
+    /// Metrics, outcomes and engine counters.
     pub run: RunResult,
     /// The power side (`Some` iff [`PowerSpec::instrumented`]).
     pub power: Option<PowerReport>,
@@ -719,7 +664,6 @@ impl Scenario {
         sim.engine.backfill = self.engine.backfill;
         sim.engine.incremental = self.engine.incremental;
         sim.engine.selection = self.engine.selection;
-        sim.engine.collect_trace = self.engine.trace;
         sim.engine.boost = self.power.boost.map(|wq_limit| BoostConfig { wq_limit });
         if let Some(spec) = &self.power.model {
             sim.power = build_rails(spec, &gears)?;
@@ -1011,7 +955,7 @@ impl Knob {
             Knob::Profile => ("profile", Word, |s| {
                 ProfileName::parse(s).map(KnobValue::Profile)
             }),
-            Knob::Jobs => ("jobs", Int, |s| parse_num(s, "jobs").map(KnobValue::Jobs)),
+            Knob::Jobs => ("jobs", Int, |s| parse_jobs(s).map(KnobValue::Jobs)),
             Knob::Seed => ("seed", Int, |s| parse_num(s, "seed").map(KnobValue::Seed)),
             Knob::BsldTh => ("bsld_th", Real, |s| parse_bsld_th(s).map(KnobValue::BsldTh)),
             Knob::Wq => ("wq", Word, |s| WqThreshold::parse(s).map(KnobValue::Wq)),
@@ -1518,6 +1462,19 @@ fn parse_num<T: std::str::FromStr>(s: &str, what: &str) -> Result<T, String> {
     s.parse().map_err(|_| format!("bad {what} {s:?}"))
 }
 
+/// The largest synthetic `jobs` count: 10× the largest documented replay
+/// (1M jobs), well inside `JobId`'s `u32`. Larger counts ask workload
+/// generation for an allocation that aborts the process.
+const MAX_JOBS: usize = 10_000_000;
+
+fn parse_jobs(s: &str) -> Result<usize, String> {
+    let n: usize = parse_num(s, "jobs")?;
+    if n > MAX_JOBS {
+        return Err(format!("jobs {n} exceeds the maximum of {MAX_JOBS}"));
+    }
+    Ok(n)
+}
+
 fn parse_bsld_th(s: &str) -> Result<f64, String> {
     s.parse()
         .ok()
@@ -1604,7 +1561,9 @@ impl Scenario {
             SelectionPolicy::ContiguousFirstFit => "contiguous",
         };
         let _ = writeln!(out, "selection = {selection}");
-        let _ = writeln!(out, "trace = {}", self.engine.trace);
+        // No longer a setting, but every CellId and campaign hash is
+        // computed over this text, so the line stays.
+        let _ = writeln!(out, "trace = false");
         match &self.output.out_dir {
             Some(dir) => {
                 // A directory literally named "none" is escaped as
@@ -1723,7 +1682,7 @@ impl ScenarioSet {
                 "scenario" => name = Some(value.to_string()),
                 "workload" => workload_kind = Some((lineno, value.to_string())),
                 "profile" => profile = Some(ProfileName::parse(value).map_err(e)?),
-                "jobs" => jobs = Some(parse_num(value, "jobs").map_err(e)?),
+                "jobs" => jobs = Some(parse_jobs(value).map_err(e)?),
                 "seed" => seed = Some(parse_num(value, "seed").map_err(e)?),
                 "scale_cpus" => scale_cpus = Some(parse_num(value, "scale_cpus").map_err(e)?),
                 "beta" => beta = Some(parse_beta(value).map_err(e)?),
@@ -1783,7 +1742,13 @@ impl ScenarioSet {
                         }
                     }
                 }
-                "trace" => engine.trace = parse_bool(value).map_err(e)?,
+                "trace" => {
+                    if parse_bool(value).map_err(e)? {
+                        return Err(e("trace = true is not supported: trace a run with \
+                                      --trace-out (the obs trace plane)"
+                            .into()));
+                    }
+                }
                 "replications" => {
                     let n: u32 = parse_num(value, "replications").map_err(e)?;
                     if n == 0 {
@@ -1993,7 +1958,6 @@ mod tests {
             backfill: false,
             incremental: false,
             selection: SelectionPolicy::ContiguousFirstFit,
-            trace: true,
         };
         sc.output.out_dir = Some(PathBuf::from("results/run1"));
         if let WorkloadSpec::Synthetic { beta, .. } = &mut sc.workload {
@@ -2084,6 +2048,34 @@ mod tests {
         }
         let ok = format!("{}sweep.cap = 0.5 1\n", base().render());
         assert!(ScenarioSet::parse(&ok).is_ok());
+    }
+
+    #[test]
+    fn jobs_count_is_bounded() {
+        let at_bound = base()
+            .render()
+            .replace("jobs = 100", &format!("jobs = {MAX_JOBS}"));
+        assert!(Scenario::parse(&at_bound).is_ok());
+        let over = base()
+            .render()
+            .replace("jobs = 100", "jobs = 9007199254740992");
+        let err = Scenario::parse(&over).unwrap_err();
+        assert!(
+            matches!(&err, ScenarioError::Parse { msg, .. } if msg.contains("exceeds the maximum")),
+            "{err}"
+        );
+        assert!(Knob::Jobs.parse(&(MAX_JOBS + 1).to_string()).is_err());
+    }
+
+    #[test]
+    fn trace_true_points_to_the_obs_trace_plane() {
+        let text = base().render();
+        assert!(text.contains("trace = false\n"), "{text}");
+        let err = Scenario::parse(&text.replace("trace = false", "trace = true")).unwrap_err();
+        assert!(
+            matches!(&err, ScenarioError::Parse { line, msg } if *line > 0 && msg.contains("--trace-out")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -13,7 +13,6 @@ use bsld_power::{BetaModel, PaperDvfs, RailSet};
 use bsld_powercap::{PowerCap, PowerCapPolicy, PowerReport, SleepConfig};
 use bsld_sched::{
     simulate, simulate_with_hook, BoostConfig, EngineConfig, FrequencyPolicy, PassStats, SimError,
-    TraceEvent,
 };
 
 use crate::policy::PowerAwareConfig;
@@ -26,8 +25,6 @@ pub struct RunResult {
     pub metrics: RunMetrics,
     /// Raw per-job outcomes (completion order).
     pub outcomes: Vec<JobOutcome>,
-    /// Scheduling trace (empty unless tracing was enabled).
-    pub trace: Vec<TraceEvent>,
     /// Engine pass/rebuild/skip counters (incremental-engine diagnostics).
     pub pass_stats: PassStats,
 }
@@ -94,7 +91,7 @@ impl PowerCapConfig {
 /// report (series, energy integral, enforcement and sleep counters).
 #[derive(Debug, Clone)]
 pub struct PowerCappedResult {
-    /// Metrics, outcomes and trace, as from any other run.
+    /// Metrics and outcomes, as from any other run.
     pub run: RunResult,
     /// The power side: step series, integral, peak, counters.
     pub power: PowerReport,
@@ -110,7 +107,7 @@ pub struct Simulator {
     pub power: RailSet,
     /// The β execution-time model (dilation).
     pub time_model: BetaModel,
-    /// Engine options (backfilling on, tracing off by default).
+    /// Engine options (EASY with backfilling and no trace sink by default).
     pub engine: EngineConfig,
 }
 
@@ -148,12 +145,6 @@ impl Simulator {
             time_model: self.time_model.clone(),
             engine: self.engine.clone(),
         }
-    }
-
-    /// Enables schedule tracing (builder style).
-    pub fn with_trace(mut self) -> Simulator {
-        self.engine.collect_trace = true;
-        self
     }
 
     /// Disables backfilling (FCFS ablation, builder style).
@@ -208,7 +199,6 @@ impl Simulator {
         Ok(RunResult {
             metrics,
             outcomes: res.outcomes,
-            trace: res.trace,
             pass_stats: res.stats,
         })
     }
@@ -313,7 +303,6 @@ impl Simulator {
             run: RunResult {
                 metrics,
                 outcomes: res.outcomes,
-                trace: res.trace,
                 pass_stats: res.stats,
             },
             power,
@@ -400,15 +389,6 @@ mod tests {
         let big = sim.enlarged(50).run_baseline(&w.jobs).unwrap();
         assert!(big.metrics.avg_wait_secs <= orig.metrics.avg_wait_secs);
         assert!(big.metrics.avg_bsld <= orig.metrics.avg_bsld);
-    }
-
-    #[test]
-    fn trace_collection_toggle() {
-        let w = small_workload();
-        let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-        assert!(sim.run_baseline(&w.jobs).unwrap().trace.is_empty());
-        let traced = sim.clone().with_trace().run_baseline(&w.jobs).unwrap();
-        assert!(!traced.trace.is_empty());
     }
 
     #[test]

@@ -53,8 +53,8 @@
 //! ## Pass-skip conditions
 //!
 //! An arrival event is skipped (no pass at all) only when **all** hold:
-//! the engine runs EASY mode with no [`PowerHook`], no trace collection and
-//! no boost; the policy declares itself elision-safe
+//! the engine runs EASY mode with no [`PowerHook`] and no boost; the policy
+//! declares itself elision-safe
 //! ([`crate::FrequencyPolicy::pass_elision_safe`]) or backfilling is off;
 //! the queue was non-empty (so the head — which could not start at the
 //! previous pass, and nothing has freed processors since — is unchanged);
@@ -112,8 +112,6 @@ pub struct EngineConfig {
     pub backfill: bool,
     /// Resource selection policy: which processors a cleared job gets.
     pub selection: SelectionPolicy,
-    /// Record a [`TraceEvent`] log of scheduling actions.
-    pub collect_trace: bool,
     /// Enable the dynamic-boost extension.
     pub boost: Option<BoostConfig>,
     /// Run the incremental hot path (cached reservation, in-place profile
@@ -130,10 +128,9 @@ pub struct EngineConfig {
     /// Deterministic trace sink (the `bsld-obs` trace plane): when set,
     /// the engine records structured sim-time events — arrivals, starts,
     /// finishes, pass outcomes (including elision), cap vetoes, retries,
-    /// boosts — through it. Unlike [`EngineConfig::collect_trace`], a sink
-    /// does *not* disable pass elision: skipped passes are themselves
-    /// traced. `None` (the default) is a no-op: one branch per would-be
-    /// event, no allocation.
+    /// boosts — through it. A sink does *not* disable pass elision:
+    /// skipped passes are themselves traced. `None` (the default) is a
+    /// no-op: one branch per would-be event, no allocation.
     pub sink: Option<std::sync::Arc<dyn bsld_obs::TraceSink>>,
 }
 
@@ -143,7 +140,6 @@ impl Default for EngineConfig {
             mode: SchedMode::Easy,
             backfill: true,
             selection: SelectionPolicy::FirstFit,
-            collect_trace: false,
             boost: None,
             incremental: true,
             abort: None,
@@ -158,52 +154,6 @@ pub struct BoostConfig {
     /// Boost running reduced jobs to the top gear whenever more than this
     /// many jobs are waiting after a scheduling pass.
     pub wq_limit: usize,
-}
-
-/// Scheduling actions, recorded when `collect_trace` is on.
-#[derive(Debug, Clone, PartialEq)]
-pub enum TraceEvent {
-    /// A job began executing.
-    Start {
-        /// Time of the action.
-        at: Time,
-        /// The job.
-        job: JobId,
-        /// Assigned gear.
-        gear: GearId,
-        /// Whether the job started via backfilling (ahead of earlier
-        /// arrivals).
-        backfilled: bool,
-        /// First processor index of the allocation (First Fit evidence).
-        first_proc: u32,
-    },
-    /// A head-of-queue reservation was (re-)derived.
-    Reserve {
-        /// Time of the action.
-        at: Time,
-        /// The job holding the reservation.
-        job: JobId,
-        /// Reserved start time.
-        start: Time,
-        /// Gear the reservation was priced at.
-        gear: GearId,
-    },
-    /// A job completed.
-    Finish {
-        /// Time of the action.
-        at: Time,
-        /// The job.
-        job: JobId,
-    },
-    /// A running job was boosted to the top gear.
-    Boost {
-        /// Time of the action.
-        at: Time,
-        /// The job.
-        job: JobId,
-        /// Gear before the boost.
-        from: GearId,
-    },
 }
 
 /// Simulation failure.
@@ -278,8 +228,6 @@ pub struct SimResult {
     pub outcomes: Vec<JobOutcome>,
     /// Completion time of the last job (simulation start is 0).
     pub makespan: Time,
-    /// Scheduling-action log (when `collect_trace` was set).
-    pub trace: Vec<TraceEvent>,
     /// Pass/rebuild/skip counters of the incremental engine.
     pub stats: PassStats,
 }
@@ -371,7 +319,6 @@ pub struct Simulation<'a, P: FrequencyPolicy + ?Sized> {
     scratch_candidates: Vec<JobId>,
     scratch_started: Vec<JobId>,
     outcomes: Vec<JobOutcome>,
-    trace: Vec<TraceEvent>,
     stats: PassStats,
 }
 
@@ -431,11 +378,10 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
             events.push(job.arrival, Event::Arrive(job.id));
         }
         // Pass elision is only provably outcome-preserving under EASY with
-        // no hook/trace/boost and an elision-safe policy (or no
+        // no hook/boost and an elision-safe policy (or no
         // backfilling, where an arrival behind a blocked head is inert).
         let elide = cfg.incremental
             && cfg.mode == SchedMode::Easy
-            && !cfg.collect_trace
             && cfg.boost.is_none()
             && (policy.pass_elision_safe() || !cfg.backfill);
         let pool = cluster.pool();
@@ -461,7 +407,6 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
             scratch_candidates: Vec::new(),
             scratch_started: Vec::new(),
             outcomes: Vec::with_capacity(jobs.len()),
-            trace: Vec::new(),
             stats: PassStats::default(),
         })
     }
@@ -585,7 +530,6 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
         Ok(SimResult {
             outcomes: self.outcomes,
             makespan,
-            trace: self.trace,
             stats: self.stats,
         })
     }
@@ -686,15 +630,6 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
         let finish_at = self.now + wall;
         self.events.push(finish_at, Event::Finish(id, 0));
         let first_proc = procs.first().unwrap_or(0);
-        if self.cfg.collect_trace {
-            self.trace.push(TraceEvent::Start {
-                at: self.now,
-                job: id,
-                gear,
-                backfilled,
-                first_proc,
-            });
-        }
         self.emit(|| bsld_obs::TraceEvent::JobStart {
             t: self.now.as_micros(),
             job: u64::from(id.0),
@@ -772,12 +707,6 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
             requested: job.requested,
         };
         debug_assert_eq!(outcome.validate(), Ok(()));
-        if self.cfg.collect_trace {
-            self.trace.push(TraceEvent::Finish {
-                at: self.now,
-                job: id,
-            });
-        }
         self.outcomes.push(outcome);
     }
 
@@ -1078,7 +1007,7 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
             return;
         };
 
-        if !self.cfg.backfill && !self.cfg.collect_trace && self.cfg.incremental {
+        if !self.cfg.backfill && self.cfg.incremental {
             // Without backfilling the reservation constrains nothing (the
             // head's actual start happens in step 1 of a later pass), so
             // deriving it would be bookkeeping for no observer.
@@ -1125,14 +1054,6 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
                 head,
                 start: res_start,
                 end: res_end,
-            });
-        }
-        if self.cfg.collect_trace {
-            self.trace.push(TraceEvent::Reserve {
-                at: self.now,
-                job: head,
-                start: res_start,
-                gear: res_gear,
             });
         }
 
@@ -1302,14 +1223,6 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
                 started.push(id);
             } else {
                 earlier_still_waiting = true;
-                if self.cfg.collect_trace {
-                    self.trace.push(TraceEvent::Reserve {
-                        at: self.now,
-                        job: id,
-                        start,
-                        gear,
-                    });
-                }
             }
         }
         self.remove_started(&started);
@@ -1348,13 +1261,6 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
                 }
             }
             self.retime_to(id, top);
-            if self.cfg.collect_trace {
-                self.trace.push(TraceEvent::Boost {
-                    at: self.now,
-                    job: id,
-                    from,
-                });
-            }
             self.emit(|| bsld_obs::TraceEvent::Boost {
                 t: now.as_micros(),
                 job: u64::from(id.0),
@@ -1441,19 +1347,41 @@ mod tests {
         Job::new(id, Time(arrival), cpus, runtime, requested)
     }
 
-    fn run(cluster_cpus: u32, jobs: &[Job]) -> SimResult {
-        let tm = tm();
-        simulate(
-            &cluster(cluster_cpus),
-            jobs,
-            &top_policy(),
-            &tm,
-            &EngineConfig {
-                collect_trace: true,
-                ..Default::default()
-            },
-        )
-        .unwrap()
+    /// Runs `jobs` under `cfg` with a `BufferSink` attached: the result
+    /// plus the obs events the run recorded.
+    fn run_traced(
+        cluster_cpus: u32,
+        jobs: &[Job],
+        policy: &dyn FrequencyPolicy,
+        cfg: EngineConfig,
+    ) -> (SimResult, Vec<bsld_obs::TraceEvent>) {
+        let sink = bsld_obs::BufferSink::shared();
+        let cfg = EngineConfig {
+            sink: Some(sink.clone()),
+            ..cfg
+        };
+        let res = simulate(&cluster(cluster_cpus), jobs, policy, &tm(), &cfg).unwrap();
+        (res, sink.take())
+    }
+
+    fn run(cluster_cpus: u32, jobs: &[Job]) -> (SimResult, Vec<bsld_obs::TraceEvent>) {
+        run_traced(cluster_cpus, jobs, &top_policy(), EngineConfig::default())
+    }
+
+    /// `(job, first_proc, backfilled)` of every `JobStart`, in start order.
+    fn starts(events: &[bsld_obs::TraceEvent]) -> Vec<(u64, u64, bool)> {
+        events
+            .iter()
+            .filter_map(|e| match *e {
+                bsld_obs::TraceEvent::JobStart {
+                    job,
+                    first_proc,
+                    backfilled,
+                    ..
+                } => Some((job, first_proc, backfilled)),
+                _ => None,
+            })
+            .collect()
     }
 
     fn start_of(res: &SimResult, id: u32) -> Time {
@@ -1466,7 +1394,7 @@ mod tests {
 
     #[test]
     fn single_job_starts_immediately() {
-        let res = run(4, &[j(0, 10, 4, 100, 200)]);
+        let (res, _) = run(4, &[j(0, 10, 4, 100, 200)]);
         assert_eq!(res.outcomes.len(), 1);
         let o = &res.outcomes[0];
         assert_eq!(o.start, Time(10));
@@ -1477,7 +1405,7 @@ mod tests {
     #[test]
     fn fcfs_order_without_contention() {
         let jobs = vec![j(0, 0, 2, 100, 100), j(1, 5, 2, 100, 100)];
-        let res = run(4, &jobs);
+        let (res, _) = run(4, &jobs);
         assert_eq!(start_of(&res, 0), Time(0));
         assert_eq!(start_of(&res, 1), Time(5));
     }
@@ -1493,20 +1421,14 @@ mod tests {
             j(2, 2, 1, 50, 50),
             j(3, 3, 1, 200, 200),
         ];
-        let res = run(4, &jobs);
+        let (res, events) = run(4, &jobs);
         assert_eq!(start_of(&res, 0), Time(0));
         assert_eq!(start_of(&res, 1), Time(100));
         assert_eq!(start_of(&res, 2), Time(2), "J2 must backfill");
         assert_eq!(start_of(&res, 3), Time(200), "J3 must wait for the head");
-        let backfilled: Vec<bool> = res
-            .trace
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Start {
-                    job, backfilled, ..
-                } if *job == JobId(2) => Some(*backfilled),
-                _ => None,
-            })
+        let backfilled: Vec<bool> = starts(&events)
+            .into_iter()
+            .filter_map(|(job, _, backfilled)| (job == 2).then_some(backfilled))
             .collect();
         assert_eq!(backfilled, vec![true]);
     }
@@ -1549,7 +1471,7 @@ mod tests {
             j(1, 1, 3, 100, 100),
             j(2, 2, 1, 500, 500),
         ];
-        let res = run(4, &jobs);
+        let (res, _) = run(4, &jobs);
         assert_eq!(start_of(&res, 1), Time(100));
         assert_eq!(start_of(&res, 2), Time(2));
     }
@@ -1558,7 +1480,7 @@ mod tests {
     fn early_finish_reschedules_queue() {
         // J0 requests 1000 s but runs 10 s; J1 starts at t=10, not t=1000.
         let jobs = vec![j(0, 0, 4, 10, 1000), j(1, 1, 4, 50, 50)];
-        let res = run(4, &jobs);
+        let (res, _) = run(4, &jobs);
         assert_eq!(start_of(&res, 1), Time(10));
     }
 
@@ -1575,7 +1497,7 @@ mod tests {
             j(5, 5, 2, 10, 20),
         ];
         let tmm = tm();
-        let with_bf = run(8, &jobs);
+        let (with_bf, _) = run(8, &jobs);
         let without_bf = simulate(
             &cluster(8),
             &jobs,
@@ -1608,15 +1530,8 @@ mod tests {
     #[test]
     fn first_fit_takes_lowest_processors() {
         let jobs = vec![j(0, 0, 3, 100, 100), j(1, 0, 2, 100, 100)];
-        let res = run(8, &jobs);
-        let firsts: Vec<u32> = res
-            .trace
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Start { first_proc, .. } => Some(*first_proc),
-                _ => None,
-            })
-            .collect();
+        let (_, events) = run(8, &jobs);
+        let firsts: Vec<u64> = starts(&events).into_iter().map(|(_, p, _)| p).collect();
         assert_eq!(firsts, vec![0, 3]);
     }
 
@@ -1627,8 +1542,8 @@ mod tests {
             j(1, 0, 2, 100, 100),
             j(2, 1, 4, 50, 50),
         ];
-        let a = run(4, &jobs);
-        let b = run(4, &jobs);
+        let (a, _) = run(4, &jobs);
+        let (b, _) = run(4, &jobs);
         assert_eq!(a.outcomes, b.outcomes);
         assert_eq!(start_of(&a, 2), Time(100));
     }
@@ -1692,7 +1607,6 @@ mod tests {
     fn boost_retimes_running_reduced_job() {
         // One reduced job running alone; then a burst of arrivals deepens
         // the queue past wq_limit=0 and triggers a boost.
-        let tmm = tm();
         let low = FixedGearPolicy::new(GearId(0));
         let jobs = vec![
             j(0, 0, 4, 1000, 1000),
@@ -1701,18 +1615,15 @@ mod tests {
             j(1, 500, 4, 10, 10),
             j(2, 500, 4, 10, 10),
         ];
-        let res = simulate(
-            &cluster(4),
+        let (res, events) = run_traced(
+            4,
             &jobs,
             &low,
-            &tmm,
-            &EngineConfig {
+            EngineConfig {
                 boost: Some(BoostConfig { wq_limit: 1 }),
-                collect_trace: true,
                 ..Default::default()
             },
-        )
-        .unwrap();
+        );
         let o0 = res.outcomes.iter().find(|o| o.id == JobId(0)).unwrap();
         assert_eq!(
             o0.phases.len(),
@@ -1729,10 +1640,9 @@ mod tests {
             "boost must shorten the job: {:?}",
             o0.finish
         );
-        assert!(res
-            .trace
+        assert!(events
             .iter()
-            .any(|e| matches!(e, TraceEvent::Boost { job, .. } if *job == JobId(0))));
+            .any(|e| matches!(e, bsld_obs::TraceEvent::Boost { job: 0, .. })));
         o0.validate().unwrap();
     }
 
@@ -1748,7 +1658,6 @@ mod tests {
             &tmm,
             &EngineConfig {
                 boost: Some(BoostConfig { wq_limit: 1 }),
-                collect_trace: true,
                 ..Default::default()
             },
         )
@@ -1773,7 +1682,7 @@ mod tests {
             j(3, 3, 1, 250, 250),
         ];
         let tmm = tm();
-        let easy = run(4, &jobs);
+        let (easy, _) = run(4, &jobs);
         let cons = simulate(
             &cluster(4),
             &jobs,
@@ -1781,7 +1690,6 @@ mod tests {
             &tmm,
             &EngineConfig {
                 mode: SchedMode::Conservative,
-                collect_trace: true,
                 ..Default::default()
             },
         )
@@ -1818,7 +1726,7 @@ mod tests {
             .map(|i| j(i, (i as u64) * 500, 2, 100, 150))
             .collect();
         let tmm = tm();
-        let easy = run(8, &jobs);
+        let (easy, _) = run(8, &jobs);
         let cons = simulate(
             &cluster(8),
             &jobs,
@@ -1877,21 +1785,17 @@ mod tests {
             j(3, 0, 1, 10, 10),     // proc 3
             j(4, 5, 2, 20, 20),     // needs two processors
         ];
-        let tmm = tm();
-        let ff = run(4, &jobs);
+        let (ff, _) = run(4, &jobs);
         assert_eq!(start_of(&ff, 4), Time(10));
-        let contig = simulate(
-            &cluster(4),
+        let (contig, events) = run_traced(
+            4,
             &jobs,
             &top_policy(),
-            &tmm,
-            &EngineConfig {
+            EngineConfig {
                 selection: SelectionPolicy::ContiguousFirstFit,
-                collect_trace: true,
                 ..Default::default()
             },
-        )
-        .unwrap();
+        );
         let s4 = contig
             .outcomes
             .iter()
@@ -1905,15 +1809,9 @@ mod tests {
         );
         crate::validate::validate_schedule(&contig.outcomes, 4).unwrap();
         // The allocation it finally gets is one contiguous range.
-        let first_procs: Vec<u32> = contig
-            .trace
-            .iter()
-            .filter_map(|e| match e {
-                TraceEvent::Start {
-                    job, first_proc, ..
-                } if *job == JobId(4) => Some(*first_proc),
-                _ => None,
-            })
+        let first_procs: Vec<u64> = starts(&events)
+            .into_iter()
+            .filter_map(|(job, p, _)| (job == 4).then_some(p))
             .collect();
         assert_eq!(first_procs.len(), 1);
     }
@@ -1921,27 +1819,16 @@ mod tests {
     #[test]
     fn last_fit_selection_allocates_from_the_top() {
         let jobs = vec![j(0, 0, 2, 10, 10)];
-        let tmm = tm();
-        let res = simulate(
-            &cluster(8),
+        let (_, events) = run_traced(
+            8,
             &jobs,
             &top_policy(),
-            &tmm,
-            &EngineConfig {
+            EngineConfig {
                 selection: SelectionPolicy::LastFit,
-                collect_trace: true,
                 ..Default::default()
             },
-        )
-        .unwrap();
-        let first = res
-            .trace
-            .iter()
-            .find_map(|e| match e {
-                TraceEvent::Start { first_proc, .. } => Some(*first_proc),
-                _ => None,
-            })
-            .unwrap();
+        );
+        let (_, first, _) = starts(&events)[0];
         assert_eq!(first, 6, "LastFit must pick processors 6 and 7");
     }
 
@@ -2061,7 +1948,7 @@ mod tests {
         // (real traces contain these) is killed at its requested time.
         let mut job = j(0, 0, 2, 100, 100);
         job.runtime = 500; // overrun past the 100 s estimate
-        let res = run(4, &[job]);
+        let (res, _) = run(4, &[job]);
         let o = &res.outcomes[0];
         assert_eq!(o.finish, Time(100), "killed at the dilated request");
         o.validate().unwrap();
@@ -2069,7 +1956,7 @@ mod tests {
         let mut over = j(0, 0, 4, 100, 100);
         over.runtime = 999;
         let jobs = vec![over, j(1, 10, 4, 50, 50)];
-        let res = run(4, &jobs);
+        let (res, _) = run(4, &jobs);
         assert_eq!(start_of(&res, 1), Time(100));
     }
 
@@ -2206,26 +2093,11 @@ mod tests {
     }
 
     #[test]
-    fn trace_collection_forces_full_passes() {
-        // collect_trace must keep per-event Reserve records: no elision.
-        let jobs = ab_workload(40);
-        let res = run_with(
-            &jobs,
-            8,
-            &EngineConfig {
-                collect_trace: true,
-                ..Default::default()
-            },
-        );
-        assert_eq!(res.stats.passes_skipped, 0);
-    }
-
-    #[test]
     fn outcome_count_matches_jobs() {
         let jobs: Vec<Job> = (0..50)
             .map(|i| j(i, (i as u64) * 7, 1 + (i % 4), 50 + (i as u64 % 90), 200))
             .collect();
-        let res = run(8, &jobs);
+        let (res, _) = run(8, &jobs);
         assert_eq!(res.outcomes.len(), jobs.len());
         for o in &res.outcomes {
             o.validate().unwrap();
@@ -2263,7 +2135,7 @@ mod tests {
             },
         )
         .unwrap();
-        let plain = run(8, &jobs);
+        let (plain, _) = run(8, &jobs);
         assert_eq!(watched.outcomes, plain.outcomes);
     }
 }

@@ -31,7 +31,7 @@ pub mod validate;
 
 pub use engine::{
     simulate, simulate_with_hook, BoostConfig, EngineConfig, PassStats, SchedMode, SimError,
-    SimResult, Simulation, TraceEvent,
+    SimResult, Simulation,
 };
 pub use hook::{NoopHook, PowerHook};
 pub use policy::{DecisionCtx, FixedGearPolicy, FrequencyPolicy};

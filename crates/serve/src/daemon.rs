@@ -18,7 +18,7 @@ use std::time::Instant;
 use bsld_metrics::Json;
 
 use crate::proto::{error_reply, Request, PROTOCOL_VERSION};
-use crate::state::{ServerState, StateConfig, Stats};
+use crate::state::{ServerState, StateConfig};
 
 /// How a daemon is stood up.
 #[derive(Debug, Clone, PartialEq)]
@@ -174,10 +174,10 @@ fn serve_connection(
         if line.trim().is_empty() {
             continue; // tolerate blank keep-alive lines
         }
-        Stats::bump(&state.stats.requests, 1);
+        state.stats.requests.inc();
         let reply = match Request::parse(&line) {
             Err(msg) => {
-                Stats::bump(&state.stats.errors, 1);
+                state.stats.errors.inc();
                 error_reply(&msg)
             }
             Ok(req) => {
@@ -216,7 +216,7 @@ fn dispatch(
         Request::Run { scn, overrides } => match state.run_query(&scn, &overrides) {
             Ok(reply) => reply.to_json(),
             Err(msg) => {
-                Stats::bump(&state.stats.errors, 1);
+                state.stats.errors.inc();
                 error_reply(&msg)
             }
         },
@@ -237,7 +237,7 @@ fn dispatch(
         Request::CachePin { swf } => match state.pin_swf(&swf) {
             Ok(reply) => reply,
             Err(msg) => {
-                Stats::bump(&state.stats.errors, 1);
+                state.stats.errors.inc();
                 error_reply(&msg)
             }
         },

@@ -9,7 +9,6 @@
 //! `bsld-repro run` of the same scenario file.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard};
 
 use bsld_core::campaign::fnv1a_64;
@@ -53,32 +52,26 @@ impl Default for StateConfig {
 #[derive(Debug, Default)]
 pub struct Stats {
     /// Requests parsed off sockets (any op, including malformed ones).
-    pub requests: AtomicU64,
+    pub requests: bsld_obs::Counter,
     /// `run` requests accepted for execution.
-    pub runs: AtomicU64,
+    pub runs: bsld_obs::Counter,
     /// Scenario cells actually simulated (cache misses).
-    pub cells_run: AtomicU64,
+    pub cells_run: bsld_obs::Counter,
     /// Cells answered from the result cache.
-    pub result_hits: AtomicU64,
+    pub result_hits: bsld_obs::Counter,
     /// Cells that had to be computed.
-    pub result_misses: AtomicU64,
+    pub result_misses: bsld_obs::Counter,
     /// Workload builds answered from the workload cache.
-    pub workload_hits: AtomicU64,
+    pub workload_hits: bsld_obs::Counter,
     /// Workloads parsed / generated from scratch.
-    pub workload_misses: AtomicU64,
+    pub workload_misses: bsld_obs::Counter,
     /// Structured error replies sent (parse failures, bad overrides,
     /// budget aborts, …).
-    pub errors: AtomicU64,
+    pub errors: bsld_obs::Counter,
     /// Result-cache entries displaced by capacity pressure.
     pub result_evictions: bsld_obs::Counter,
     /// Workload-cache entries displaced by capacity pressure.
     pub workload_evictions: bsld_obs::Counter,
-}
-
-impl Stats {
-    pub(crate) fn bump(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
 }
 
 /// The daemon's wall-clock profiling plane: per-op latency histograms
@@ -209,7 +202,7 @@ impl ServerState {
     /// Runs one `run` request against the warm caches. The error string
     /// becomes the client's `{"ok":false,"error":…}` reply.
     pub fn run_query(&self, scn: &str, ov: &Overrides) -> Result<RunReply, String> {
-        Stats::bump(&self.stats.runs, 1);
+        self.stats.runs.inc();
         let mut set = ScenarioSet::parse(scn).map_err(|e| e.to_string())?;
         ov.apply(&mut set)?;
         if set.replications > 1 {
@@ -237,8 +230,8 @@ impl ServerState {
         let misses: Vec<usize> = (0..cells.len())
             .filter(|&i| outcomes[i].is_none())
             .collect();
-        Stats::bump(&self.stats.result_hits, cached as u64);
-        Stats::bump(&self.stats.result_misses, misses.len() as u64);
+        self.stats.result_hits.add(cached as u64);
+        self.stats.result_misses.add(misses.len() as u64);
 
         if !misses.is_empty() {
             let computed = match budget {
@@ -331,7 +324,7 @@ impl ServerState {
                 Ok(w) => Arc::clone(w),
                 Err(e) => return Err(e.clone()),
             };
-            Stats::bump(&self.stats.cells_run, 1);
+            self.stats.cells_run.inc();
             let mut sim = sc.simulator(&w)?;
             sim.engine.abort = abort.map(AbortFlag::handle);
             sc.run_prepared(&sim, &w.jobs).map(|r| CellOutcome::of(&r))
@@ -346,10 +339,10 @@ impl ServerState {
     ) -> Result<Arc<Workload>, ScenarioError> {
         let key = workload_key(spec);
         if let Some(w) = self.lock_workloads().get(&key) {
-            Stats::bump(&self.stats.workload_hits, 1);
+            self.stats.workload_hits.inc();
             return Ok(Arc::clone(w));
         }
-        Stats::bump(&self.stats.workload_misses, 1);
+        self.stats.workload_misses.inc();
         // Built outside the lock: an SWF parse can take seconds and must
         // not stall a concurrent query that only needs cached state. Two
         // clients racing on the same cold trace may both build it; the
@@ -396,7 +389,7 @@ impl ServerState {
         };
         let key = workload_key(&spec);
         let content_hash = file_fnv(std::path::Path::new(path));
-        Stats::bump(&self.stats.workload_misses, 1);
+        self.stats.workload_misses.inc();
         let w = Arc::new(spec.build_with_abort(None).map_err(|e| e.to_string())?);
         let evicted = self.lock_workloads().insert(key, Arc::clone(&w)).is_some();
         if evicted {
@@ -428,7 +421,7 @@ impl ServerState {
     /// The `status` counters as JSON pairs (the daemon adds uptime and
     /// pool facts on top).
     pub fn stats_pairs(&self) -> Vec<(&'static str, Json)> {
-        let c = |a: &AtomicU64| Json::Num(a.load(Ordering::Relaxed) as f64);
+        let c = |a: &bsld_obs::Counter| Json::Num(a.get() as f64);
         vec![
             ("requests", c(&self.stats.requests)),
             ("runs", c(&self.stats.runs)),
@@ -437,14 +430,8 @@ impl ServerState {
             ("result_misses", c(&self.stats.result_misses)),
             ("workload_hits", c(&self.stats.workload_hits)),
             ("workload_misses", c(&self.stats.workload_misses)),
-            (
-                "result_evictions",
-                Json::Num(self.stats.result_evictions.get() as f64),
-            ),
-            (
-                "workload_evictions",
-                Json::Num(self.stats.workload_evictions.get() as f64),
-            ),
+            ("result_evictions", c(&self.stats.result_evictions)),
+            ("workload_evictions", c(&self.stats.workload_evictions)),
             ("errors", c(&self.stats.errors)),
         ]
     }
@@ -544,7 +531,7 @@ mod tests {
         assert_eq!(warm.cached, 1);
         assert_eq!(warm.table, cold.table);
         assert_eq!(warm.csv, cold.csv);
-        assert_eq!(st.stats.cells_run.load(Ordering::Relaxed), 1);
+        assert_eq!(st.stats.cells_run.get(), 1);
     }
 
     #[test]
@@ -559,11 +546,11 @@ mod tests {
         assert_eq!(tweaked.cached, 0, "different policy, different cell");
         assert!(tweaked.table.contains("demo-th1.5"), "{}", tweaked.table);
         assert_eq!(
-            st.stats.workload_misses.load(Ordering::Relaxed),
+            st.stats.workload_misses.get(),
             1,
             "same workload spec: generated once, reused warm"
         );
-        assert_eq!(st.stats.workload_hits.load(Ordering::Relaxed), 1);
+        assert_eq!(st.stats.workload_hits.get(), 1);
     }
 
     #[test]
@@ -613,9 +600,9 @@ mod tests {
             trace.display()
         );
         st.run_query(&scn, &Overrides::default()).unwrap();
-        assert_eq!(st.stats.workload_hits.load(Ordering::Relaxed), 1);
+        assert_eq!(st.stats.workload_hits.get(), 1);
         assert_eq!(
-            st.stats.workload_misses.load(Ordering::Relaxed),
+            st.stats.workload_misses.get(),
             1,
             "only the pin itself counts as a miss"
         );

@@ -7,11 +7,49 @@
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 use bsld::cluster::{Cluster, GearSet};
 use bsld::core::{BsldThresholdPolicy, PowerAwareConfig, WqThreshold};
-use bsld::model::Job;
+use bsld::model::{GearId, Job, JobId};
 use bsld::power::BetaModel;
-use bsld::sched::{simulate, validate_schedule, EngineConfig, FixedGearPolicy, FrequencyPolicy};
+use bsld::sched::{
+    simulate, validate_schedule, DecisionCtx, EngineConfig, FixedGearPolicy, FrequencyPolicy,
+};
 use bsld::simkernel::Time;
 use proptest::prelude::*;
+use std::cell::RefCell;
+
+/// Wraps a policy and logs `(job, start)` of every `head_gear` call: the
+/// engine prices every head reservation, and every head start, through it.
+/// All other decisions forward untouched, so the run is the inner policy's.
+struct HeadLog<P> {
+    inner: P,
+    calls: RefCell<Vec<(JobId, Time)>>,
+}
+
+impl<P: FrequencyPolicy> FrequencyPolicy for HeadLog<P> {
+    fn head_gear(&self, ctx: &DecisionCtx<'_>, start: Time) -> GearId {
+        self.calls.borrow_mut().push((ctx.job.id, start));
+        self.inner.head_gear(ctx, start)
+    }
+
+    fn backfill_gear(
+        &self,
+        ctx: &DecisionCtx<'_>,
+        fits: &mut dyn FnMut(GearId) -> bool,
+    ) -> Option<GearId> {
+        self.inner.backfill_gear(ctx, fits)
+    }
+
+    fn reserve_gear(
+        &self,
+        ctx: &DecisionCtx<'_>,
+        find_start: &mut dyn FnMut(GearId) -> Time,
+    ) -> (GearId, Time) {
+        self.inner.reserve_gear(ctx, find_start)
+    }
+
+    fn pass_elision_safe(&self) -> bool {
+        self.inner.pass_elision_safe()
+    }
+}
 
 /// Strategy: a random rigid job with arrival jitter, bounded size/runtime.
 fn arb_job(max_cpus: u32) -> impl Strategy<Value = (u64, u32, u64, u64)> {
@@ -189,7 +227,6 @@ proptest! {
         let tm = BetaModel::new(gears.clone());
         let cfg = bsld::sched::EngineConfig {
             selection: bsld::cluster::SelectionPolicy::ContiguousFirstFit,
-            collect_trace: true,
             ..Default::default()
         };
         let cluster = Cluster::new("prop", 16, gears.clone());
@@ -199,41 +236,41 @@ proptest! {
         validate_schedule(&res.outcomes, 16).map_err(TestCaseError::fail)?;
     }
 
-    /// The EASY no-delay guarantee, observed through the scheduling trace:
-    /// for any job, successive reservations never move *later* — runtime
-    /// over-estimates and early completions can only pull a reservation
-    /// forward, and backfilled jobs are barred from pushing it back.
+    /// The EASY no-delay guarantee, observed through the policy's
+    /// head-gear calls: for any job, successive reservations never move
+    /// *later* — runtime over-estimates and early completions can only pull
+    /// a reservation forward, and backfilled jobs are barred from pushing
+    /// it back — and no job starts after its last reservation.
     #[test]
     fn easy_reservations_never_regress(raw in proptest::collection::vec(arb_job(16), 1..100)) {
         let jobs = build_jobs(raw);
         let gears = GearSet::paper();
         let tm = BetaModel::new(gears.clone());
-        let cfg = bsld::sched::EngineConfig { collect_trace: true, ..Default::default() };
         let cluster = Cluster::new("prop", 16, gears.clone());
-        let policy = FixedGearPolicy::new(gears.top());
-        let res = simulate(&cluster, &jobs, &policy, &tm, &cfg).unwrap();
-        let mut last_reservation: std::collections::HashMap<u32, u64> =
-            std::collections::HashMap::new();
-        for ev in &res.trace {
-            match ev {
-                bsld::sched::TraceEvent::Reserve { job, start, .. } => {
-                    if let Some(&prev) = last_reservation.get(&job.0) {
-                        prop_assert!(
-                            start.as_secs() <= prev,
-                            "{job}: reservation moved later ({prev} -> {start})"
-                        );
-                    }
-                    last_reservation.insert(job.0, start.as_secs());
-                }
-                bsld::sched::TraceEvent::Start { job, at, .. } => {
-                    if let Some(&reserved) = last_reservation.get(&job.0) {
-                        prop_assert!(
-                            at.as_secs() <= reserved,
-                            "{job}: started at {at} after its reservation {reserved}"
-                        );
-                    }
-                }
-                _ => {}
+        let policy = HeadLog {
+            inner: FixedGearPolicy::new(gears.top()),
+            calls: RefCell::new(Vec::new()),
+        };
+        let res = simulate(&cluster, &jobs, &policy, &tm, &EngineConfig::default()).unwrap();
+        let calls = policy.calls.into_inner();
+        // The first arrival always starts as the head.
+        prop_assert!(!calls.is_empty());
+        let mut last_reservation: std::collections::BTreeMap<JobId, Time> =
+            std::collections::BTreeMap::new();
+        for (job, start) in calls {
+            if let Some(&prev) = last_reservation.get(&job) {
+                prop_assert!(start <= prev, "{job}: reservation moved later ({prev} -> {start})");
+            }
+            last_reservation.insert(job, start);
+        }
+        for o in &res.outcomes {
+            if let Some(&reserved) = last_reservation.get(&o.id) {
+                prop_assert!(
+                    o.start <= reserved,
+                    "{}: started at {} after its reservation {reserved}",
+                    o.id,
+                    o.start
+                );
             }
         }
     }

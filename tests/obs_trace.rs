@@ -117,7 +117,8 @@ fn trace_plane_carries_no_wall_clock_fields() {
 }
 
 /// Attaching a trace sink must not change any simulation result: the
-/// trace plane observes, never steers.
+/// trace plane observes, never steers. Nor does it cost pass elision:
+/// the engine does the same work, skipped passes included.
 #[test]
 fn attaching_a_sink_does_not_change_results() {
     let sc = Scenario::synthetic("obs", ProfileName::SdscBlue, 200, 7);
@@ -129,6 +130,13 @@ fn attaching_a_sink_does_not_change_results() {
     assert_eq!(p.avg_wait_secs, t.avg_wait_secs);
     assert_eq!(p.makespan_secs, t.makespan_secs);
     assert_eq!(p.energy.with_idle, t.energy.with_idle);
+    assert_eq!(plain.run.outcomes, traced.run.outcomes);
+    assert_eq!(plain.run.pass_stats, traced.run.pass_stats);
+    assert!(
+        traced.run.pass_stats.passes_skipped > 0,
+        "a traced run still elides passes: {:?}",
+        traced.run.pass_stats
+    );
     assert!(!sink.is_empty(), "the sink observed the run");
     // Every job arrives, starts and finishes exactly once.
     let events = sink.take();

@@ -253,6 +253,43 @@ fn knob_overrides_are_validated_and_carried_by_the_client() {
     handle.join().unwrap();
 }
 
+/// A `jobs` count past the bound is a structured error on every way in —
+/// wire override, `--set` and the `.scn` text itself — and never takes the
+/// daemon down with an allocation abort.
+#[test]
+fn over_bound_jobs_is_a_structured_error_and_the_daemon_survives() {
+    let (socket, handle) = spawn_daemon(small_config(scratch_socket()));
+    let mut client = Client::connect(&socket).unwrap();
+    const HUGE: &str = "9007199254740992";
+
+    let raw = Json::obj(vec![
+        ("op", Json::str("run")),
+        ("scn", Json::str(SCN)),
+        (
+            "overrides",
+            Json::parse(&format!("{{\"jobs\":{HUGE}}}")).unwrap(),
+        ),
+    ]);
+    let reply = client.request(&raw).unwrap();
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+    let err = reply.get("error").and_then(Json::as_str).unwrap();
+    assert!(err.contains("exceeds the maximum"), "{err}");
+
+    let err = Overrides::from_sets(&[format!("jobs={HUGE}")]).unwrap_err();
+    assert!(err.contains("exceeds the maximum"), "{err}");
+
+    let scn = SCN.replace("jobs = 60", &format!("jobs = {HUGE}"));
+    let reply = client.run(&scn, &Overrides::default()).unwrap();
+    assert_eq!(reply.get("ok").and_then(Json::as_bool), Some(false));
+    let err = reply.get("error").and_then(Json::as_str).unwrap();
+    assert!(err.contains("exceeds the maximum"), "{err}");
+
+    let status = client.status().unwrap();
+    assert_eq!(status.get("ok").and_then(Json::as_bool), Some(true));
+    client.shutdown().unwrap();
+    handle.join().unwrap();
+}
+
 #[test]
 fn binding_over_a_live_daemon_is_refused_and_stale_sockets_are_reclaimed() {
     let cfg = small_config(scratch_socket());

@@ -5,12 +5,46 @@
 //! outcomes, same result-file bytes, same errors.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
-use bsld::core::campaign::{run_campaign, CampaignOptions, RESULTS_FILE};
-use bsld::core::scenario::{run_many, ScenarioSet, WorkloadSpec};
-use bsld::core::{set_swf_in_memory, sweep_report, CellOutcome};
+use bsld::core::campaign::{
+    run_campaign, Campaign, CampaignOptions, RepRow, MANIFEST_FILE, RESULTS_FILE,
+};
+use bsld::core::scenario::{run_many, Scenario, ScenarioError, ScenarioSet, WorkloadSpec};
+use bsld::core::{sweep_report, CellOutcome, ScenarioResult};
+use bsld::sched::SimError;
 use bsld::workload::profiles::TraceProfile;
 use bsld::workload::Workload;
 use std::path::PathBuf;
+
+/// The in-memory SWF load path, the streaming path's A/B oracle:
+/// `read_to_string` → `parse_swf_with_abort` → `clean_trace_with_abort` →
+/// `Workload::from_swf`. Errors map exactly as `WorkloadSpec::build` maps
+/// them, so the two paths must be indistinguishable from the outside.
+fn load_in_memory(spec: &WorkloadSpec) -> Result<Workload, ScenarioError> {
+    let WorkloadSpec::Swf { path, clean } = spec else {
+        panic!("the in-memory oracle only loads SWF specs");
+    };
+    let text = std::fs::read_to_string(path)
+        .map_err(|e| ScenarioError::Io(format!("cannot read {}: {e}", path.display())))?;
+    let mut trace = bsld::swf::parse_swf_with_abort(&text, None).map_err(|e| {
+        if e.kind == bsld::swf::ParseErrorKind::Aborted {
+            ScenarioError::Sim(SimError::Aborted)
+        } else {
+            ScenarioError::Workload(e.to_string())
+        }
+    })?;
+    if *clean {
+        bsld::swf::clean_trace_with_abort(&mut trace, &bsld::swf::CleanConfig::default(), None)
+            .map_err(|_| ScenarioError::Sim(SimError::Aborted))?;
+    }
+    let name = path.file_stem().and_then(|s| s.to_str()).unwrap_or("trace");
+    Ok(Workload::from_swf(name, &trace))
+}
+
+/// Runs `sc` on the workload the in-memory oracle loads.
+fn run_in_memory(sc: &Scenario) -> Result<ScenarioResult, ScenarioError> {
+    let w = load_in_memory(&sc.workload)?;
+    sc.run_prepared(&sc.simulator(&w)?, &w.jobs)
+}
 
 /// A scratch directory unique to this test (parallel tests must not
 /// collide), removed on drop.
@@ -106,11 +140,11 @@ fn unclean_replay_matches_raw_parse() {
     assert_same_workload(&streamed, &in_memory, "unclean");
 }
 
-/// The end-to-end oracle behind the CLI's `--swf-in-memory` flag: the same
-/// scenario sweep run through both load paths yields byte-identical result
-/// tables and `scenario_results.csv` contents.
+/// The end-to-end oracle: the same scenario sweep run through both load
+/// paths yields byte-identical result tables and `scenario_results.csv`
+/// contents.
 #[test]
-fn scenario_sweep_is_byte_identical_under_the_toggle() {
+fn scenario_sweep_is_byte_identical_on_both_paths() {
     let scratch = Scratch::new("sweep");
     let path = scratch.path("sweep.swf");
     let w = TraceProfile::ctc().scaled_cpus(64).generate(11, 300);
@@ -120,12 +154,11 @@ fn scenario_sweep_is_byte_identical_under_the_toggle() {
         "scenario = ab\nworkload = swf\nswf_path = {}\nsweep.bsld_th = 1.5 3\n",
         path.display()
     );
-    let render = || {
-        let set = ScenarioSet::parse(&scn).unwrap();
-        let cells = set.expand().unwrap();
+    let cells = ScenarioSet::parse(&scn).unwrap().expand().unwrap();
+    let render = |results: Vec<Result<ScenarioResult, ScenarioError>>| {
         let rows: Vec<(String, Result<CellOutcome, String>)> = cells
             .iter()
-            .zip(run_many(&cells, 1))
+            .zip(results)
             .map(|(sc, res)| {
                 (
                     sc.name.clone(),
@@ -137,18 +170,17 @@ fn scenario_sweep_is_byte_identical_under_the_toggle() {
         (report.table, report.csv)
     };
 
-    let streaming = render();
-    set_swf_in_memory(true);
-    let in_memory = render();
-    set_swf_in_memory(false);
+    let streaming = render(run_many(&cells, 1));
+    let in_memory = render(cells.iter().map(run_in_memory).collect());
     assert_eq!(streaming.0, in_memory.0, "result tables diverged");
     assert_eq!(streaming.1, in_memory.1, "scenario_results.csv diverged");
 }
 
-/// The campaign layer under the toggle: manifest-backed runs of the same
-/// replay produce byte-identical `campaign_results.csv` files.
+/// The campaign layer on both paths: `campaign_results.csv` aggregated
+/// from streaming runs equals the one aggregated (via a resumed manifest)
+/// from in-memory runs of the same replay.
 #[test]
-fn campaign_results_are_byte_identical_under_the_toggle() {
+fn campaign_results_are_byte_identical_on_both_paths() {
     let scratch = Scratch::new("campaign");
     let path = scratch.path("campaign.swf");
     let w = TraceProfile::sdsc_blue().scaled_cpus(64).generate(5, 250);
@@ -158,22 +190,31 @@ fn campaign_results_are_byte_identical_under_the_toggle() {
         "scenario = replay\nworkload = swf\nswf_path = {}\n",
         path.display()
     );
-    let run_into = |dir: PathBuf| {
-        std::fs::create_dir_all(&dir).unwrap();
-        let set = ScenarioSet::parse(&scn).unwrap();
-        let opts = CampaignOptions {
-            threads: 1,
-            dir: Some(dir.clone()),
-            resume: false,
-        };
-        run_campaign(&set, &opts, None).unwrap();
-        std::fs::read(dir.join(RESULTS_FILE)).unwrap()
-    };
+    let set = ScenarioSet::parse(&scn).unwrap();
 
-    let streaming = run_into(scratch.path("out-stream"));
-    set_swf_in_memory(true);
-    let in_memory = run_into(scratch.path("out-mem"));
-    set_swf_in_memory(false);
+    let stream_dir = scratch.path("out-stream");
+    run_campaign(&set, &CampaignOptions::fresh(1, &stream_dir), None).unwrap();
+    let streaming = std::fs::read(stream_dir.join(RESULTS_FILE)).unwrap();
+
+    // Every unit's manifest row from an in-memory run; the resumed
+    // campaign then only aggregates them.
+    let mem_dir = scratch.path("out-mem");
+    std::fs::create_dir_all(&mem_dir).unwrap();
+    let campaign = Campaign::plan(&set).unwrap();
+    let mut manifest = RepRow::HEADERS.join(",") + "\n";
+    for unit in &campaign.units {
+        let res = run_in_memory(&unit.scenario).unwrap();
+        let row = RepRow::from_result(&campaign.cells[unit.cell], unit, &res);
+        manifest += &(row.to_csv_line() + "\n");
+    }
+    std::fs::write(mem_dir.join(MANIFEST_FILE), manifest).unwrap();
+    let outcome = run_campaign(&set, &CampaignOptions::resume(1, &mem_dir), None).unwrap();
+    assert_eq!(
+        outcome.resumed,
+        campaign.units.len(),
+        "every unit must come from the manifest"
+    );
+    let in_memory = std::fs::read(mem_dir.join(RESULTS_FILE)).unwrap();
     assert_eq!(streaming, in_memory, "campaign_results.csv diverged");
 }
 
@@ -196,9 +237,7 @@ fn damaged_traces_fail_identically_on_both_paths() {
         std::fs::write(&path, &bytes).unwrap();
         let spec = WorkloadSpec::Swf { path, clean: true };
         let streaming_err = spec.build().unwrap_err().to_string();
-        set_swf_in_memory(true);
-        let in_memory_err = spec.build().unwrap_err().to_string();
-        set_swf_in_memory(false);
+        let in_memory_err = load_in_memory(&spec).unwrap_err().to_string();
         assert_eq!(streaming_err, in_memory_err, "{tag}: errors diverged");
         assert!(
             streaming_err.contains("line"),
@@ -215,9 +254,7 @@ fn missing_file_error_is_path_independent() {
         clean: true,
     };
     let streaming_err = spec.build().unwrap_err().to_string();
-    set_swf_in_memory(true);
-    let in_memory_err = spec.build().unwrap_err().to_string();
-    set_swf_in_memory(false);
+    let in_memory_err = load_in_memory(&spec).unwrap_err().to_string();
     assert_eq!(streaming_err, in_memory_err);
     assert!(streaming_err.contains("cannot read"), "{streaming_err}");
 }
