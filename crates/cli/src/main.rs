@@ -63,7 +63,7 @@ use bsld_core::campaign::{run_campaign, CampaignOptions, JSON_FILE, RESULTS_FILE
 use bsld_core::distrib::{merge_campaign, run_worker, worker_manifest_file, Shard};
 use bsld_core::experiments::{ablation, enlarged, fig6, grid, powercap, table1, ExpOptions};
 use bsld_core::policy::WqThreshold;
-use bsld_core::scenario::{Knob, PolicySpec, ProfileName, ScenarioSet, WorkloadSpec};
+use bsld_core::scenario::{Knob, KnobValue, PolicySpec, ProfileName, ScenarioSet, WorkloadSpec};
 use bsld_core::{sweep_report, CellOutcome, Scenario};
 use bsld_metrics::{Json, RunDetails};
 
@@ -198,7 +198,13 @@ fn parse_args() -> Result<(Args, bool), String> {
         match arg.as_str() {
             "--jobs" => {
                 let v = it.next().ok_or("--jobs needs a value")?;
-                opts.jobs = v.parse().map_err(|_| format!("bad --jobs value: {v}"))?;
+                // The knob table's parser bounds the count (MAX_JOBS).
+                let parsed = Knob::Jobs.parse(&v);
+                let Ok(KnobValue::Jobs(n)) = parsed else {
+                    let why = parsed.err().unwrap_or_default();
+                    return Err(format!("bad --jobs value: {v} ({why})"));
+                };
+                opts.jobs = n;
                 jobs_set = true;
             }
             "--seed" => {

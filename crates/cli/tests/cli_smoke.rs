@@ -96,6 +96,21 @@ fn unknown_workload_lists_valid_names() {
 }
 
 #[test]
+fn jobs_flag_is_bounded_like_the_jobs_knob() {
+    for (value, why) in [
+        ("9007199254740992", "exceeds the maximum"),
+        ("many", "bad jobs"),
+    ] {
+        let out = run(&["simulate", "--workload", "ctc", "--jobs", value]);
+        assert!(!out.status.success(), "--jobs {value} must be refused");
+        let err = stderr(&out);
+        assert!(err.contains(&format!("bad --jobs value: {value}")), "{err}");
+        assert!(err.contains(why), "{err}");
+        assert!(!err.contains("panicked"), "{err}");
+    }
+}
+
+#[test]
 fn simulate_runs_and_reports() {
     let out = run(&[
         "simulate",

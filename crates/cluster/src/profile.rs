@@ -11,18 +11,13 @@
 //! All operations are integer/exact, so scheduling decisions are
 //! deterministic.
 //!
-//! # Query complexity
+//! # Complexity
 //!
-//! The segment list is the ground truth, but queries no longer scan it:
-//! every mutation eagerly rebuilds a pair of flat segment trees
-//! (`SegIndex`: range-min and range-max of per-segment availability), so
-//! [`Profile::min_available`], [`Profile::earliest_fit`] and the
-//! [`Profile::commit`] underflow validation run in O(log n) instead of
-//! O(n). Mutations were already O(n) (they splice the segment `Vec` and
-//! coalesce), so the rebuild does not change their asymptotics. The
-//! pre-index linear implementations are kept as
-//! [`Profile::min_available_linear`] / [`Profile::earliest_fit_linear`] —
-//! the semantic oracles the indexed paths are property-tested against.
+//! Queries and mutations scan the segment list. A profile holds at most
+//! one segment per running job plus the reservation, so `n` is bounded by
+//! the machine size, not by the trace length; a linear scan over a few
+//! hundred `(Time, u32)` pairs beats maintaining any index that every
+//! mutation would have to rebuild.
 
 use bsld_simkernel::Time;
 
@@ -108,7 +103,6 @@ impl ProfileBuilder {
         let mut out = Profile {
             total: self.total,
             segs: Vec::with_capacity(self.releases.len() + 1),
-            index: SegIndex::default(),
         };
         self.build_into(&mut out);
         out
@@ -131,135 +125,19 @@ impl ProfileBuilder {
                 _ => out.segs.push((t, avail)),
             }
         }
-        out.index.rebuild(&out.segs);
-    }
-}
-
-/// Flat min/max segment trees over the per-segment availability values,
-/// padded to a power of two. Rebuilt eagerly after every mutation: the
-/// index is a pure function of the segment list, so two profiles with
-/// equal segments always carry equal indexes (derived `PartialEq` on
-/// [`Profile`] stays sound).
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-struct SegIndex {
-    /// Number of real leaves (`segs.len()` at build time).
-    leaves: usize,
-    /// Padded leaf count: `leaves.next_power_of_two()`.
-    size: usize,
-    /// Range-minimum tree, `2 * size` nodes, `u32::MAX` padding.
-    min: Vec<u32>,
-    /// Range-maximum tree, `2 * size` nodes, `0` padding.
-    max: Vec<u32>,
-}
-
-impl SegIndex {
-    /// Rebuilds both trees from the segment list. O(n); reuses the node
-    /// allocations when the padded size is unchanged.
-    fn rebuild(&mut self, segs: &[(Time, u32)]) {
-        self.leaves = segs.len();
-        self.size = segs.len().next_power_of_two().max(1);
-        self.min.clear();
-        self.min.resize(2 * self.size, u32::MAX);
-        self.max.clear();
-        self.max.resize(2 * self.size, 0);
-        for (i, &(_, avail)) in segs.iter().enumerate() {
-            self.min[self.size + i] = avail;
-            self.max[self.size + i] = avail;
-        }
-        for node in (1..self.size).rev() {
-            self.min[node] = self.min[2 * node].min(self.min[2 * node + 1]);
-            self.max[node] = self.max[2 * node].max(self.max[2 * node + 1]);
-        }
-    }
-
-    /// Minimum availability over leaf indexes `[l, r)`. `u32::MAX` for an
-    /// empty range.
-    fn range_min(&self, mut l: usize, mut r: usize) -> u32 {
-        let mut m = u32::MAX;
-        l += self.size;
-        r = r.min(self.leaves) + self.size;
-        while l < r {
-            if l & 1 == 1 {
-                m = m.min(self.min[l]);
-                l += 1;
-            }
-            if r & 1 == 1 {
-                r -= 1;
-                m = m.min(self.min[r]);
-            }
-            l /= 2;
-            r /= 2;
-        }
-        m
-    }
-
-    /// First leaf index `>= from` whose availability is `< cpus`.
-    fn first_below(&self, from: usize, cpus: u32) -> Option<usize> {
-        if from >= self.leaves {
-            return None;
-        }
-        self.descend_min(1, 0, self.size, from, cpus)
-    }
-
-    fn descend_min(
-        &self,
-        node: usize,
-        nl: usize,
-        nr: usize,
-        from: usize,
-        cpus: u32,
-    ) -> Option<usize> {
-        if nr <= from || self.min[node] >= cpus {
-            return None;
-        }
-        if nr - nl == 1 {
-            // Padding leaves hold u32::MAX and can never satisfy `< cpus`.
-            return (nl < self.leaves).then_some(nl);
-        }
-        let mid = (nl + nr) / 2;
-        self.descend_min(2 * node, nl, mid, from, cpus)
-            .or_else(|| self.descend_min(2 * node + 1, mid, nr, from, cpus))
-    }
-
-    /// First leaf index `>= from` whose availability is `>= cpus`
-    /// (`cpus >= 1`: padding leaves hold 0 and are never matched).
-    fn first_at_least(&self, from: usize, cpus: u32) -> Option<usize> {
-        if from >= self.leaves {
-            return None;
-        }
-        self.descend_max(1, 0, self.size, from, cpus)
-    }
-
-    fn descend_max(
-        &self,
-        node: usize,
-        nl: usize,
-        nr: usize,
-        from: usize,
-        cpus: u32,
-    ) -> Option<usize> {
-        if nr <= from || self.max[node] < cpus {
-            return None;
-        }
-        if nr - nl == 1 {
-            return (nl < self.leaves).then_some(nl);
-        }
-        let mid = (nl + nr) / 2;
-        self.descend_max(2 * node, nl, mid, from, cpus)
-            .or_else(|| self.descend_max(2 * node + 1, mid, nr, from, cpus))
     }
 }
 
 /// Piecewise-constant future availability (see module docs).
 ///
-/// Invariants: segment start times strictly increase, the first segment
-/// starts at the profile origin, each availability is `≤ total`, and the
-/// last segment extends to infinity.
+/// Invariants: segment start times strictly increase, neighbouring
+/// segments differ in availability, the first segment starts at the
+/// profile origin, each availability is `≤ total`, and the last segment
+/// extends to infinity.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Profile {
     total: u32,
     segs: Vec<(Time, u32)>,
-    index: SegIndex,
 }
 
 impl Profile {
@@ -301,30 +179,12 @@ impl Profile {
 
     /// Minimum availability over the window `[start, start+dur)`.
     /// A zero-length window reads the instant `start`.
-    ///
-    /// O(log n) via the range-min tree; bit-identical to
-    /// [`Profile::min_available_linear`].
     pub fn min_available(&self, start: Time, dur: u64) -> u32 {
         let end = start.saturating_add(dur);
         let i = self.seg_index(start);
-        // First segment starting at or after `end`; the window covers
-        // segments [i, j), and at least segment i even when zero-length.
-        let j = self.segs.partition_point(|&(s, _)| s < end).max(i + 1);
-        self.index.range_min(i, j)
-    }
-
-    /// Linear-scan reference implementation of [`Profile::min_available`]
-    /// — the semantic oracle the indexed path is property-tested against.
-    pub fn min_available_linear(&self, start: Time, dur: u64) -> u32 {
-        let end = start.saturating_add(dur);
-        let mut i = self.seg_index(start);
-        let mut min = self.segs[i].1;
-        i += 1;
-        while i < self.segs.len() && self.segs[i].0 < end {
-            min = min.min(self.segs[i].1);
-            i += 1;
-        }
-        min
+        // The window covers segment i even when zero-length.
+        let rest = self.segs[i + 1..].iter().take_while(|&&(s, _)| s < end);
+        rest.fold(self.segs[i].1, |min, &(_, avail)| min.min(avail))
     }
 
     /// Whether `cpus` processors are continuously available over
@@ -337,44 +197,7 @@ impl Profile {
     /// Earliest `t ≥ not_before` such that `cpus` processors are available
     /// throughout `[t, t+dur)`, or `None` if no such time exists (only when
     /// `cpus > total` or a commitment blocks the horizon forever).
-    ///
-    /// O(log n) per blocked run via the min/max tree descents;
-    /// bit-identical to [`Profile::earliest_fit_linear`], which walks every
-    /// segment of every candidate window.
     pub fn earliest_fit(&self, cpus: u32, dur: u64, not_before: Time) -> Option<Time> {
-        if cpus > self.total {
-            return None;
-        }
-        let mut t = not_before.max(self.origin());
-        loop {
-            let window_end = t.saturating_add(dur);
-            let i = self.seg_index(t);
-            let Some(k) = self.index.first_below(i, cpus) else {
-                // No segment at or after the window start ever dips below
-                // `cpus`: the candidate fits through the horizon.
-                return Some(t);
-            };
-            // The candidate fits iff the first dip neither covers `t`
-            // (k == i; for dur == 0 the linear oracle still requires the
-            // segment at `t` itself to satisfy `cpus`) nor starts inside
-            // the window.
-            if k > i && self.segs[k].0 >= window_end {
-                return Some(t);
-            }
-            // Blocked: the next viable candidate is the start of the first
-            // segment after the dip with enough processors — the same
-            // instant the linear oracle reaches by hopping segment ends
-            // through the blocked run.
-            match self.index.first_at_least(k + 1, cpus) {
-                None => return None, // blocked through the infinite tail
-                Some(m) => t = self.segs[m].0,
-            }
-        }
-    }
-
-    /// Linear-scan reference implementation of [`Profile::earliest_fit`]
-    /// — the semantic oracle the indexed path is property-tested against.
-    pub fn earliest_fit_linear(&self, cpus: u32, dur: u64, not_before: Time) -> Option<Time> {
         if cpus > self.total {
             return None;
         }
@@ -390,6 +213,7 @@ impl Profile {
                         // Blocked forever (an infinite commitment).
                         return None;
                     }
+                    // The next viable candidate starts where this dip ends.
                     t = seg_end;
                     continue 'candidate;
                 }
@@ -414,41 +238,18 @@ impl Profile {
         if cpus == 0 {
             return Ok(());
         }
-        // Validate first — O(log n): the first segment at or after the
-        // window start that dips below `cpus` is exactly the first
-        // underflow the old linear scan reported (segment starts increase,
-        // so if that dip lies past `end`, every later dip does too).
-        let mut i = self.seg_index(start);
-        if let Some(k) = self.index.first_below(i, cpus) {
-            if self.segs[k].0 < end {
-                let at = self.segs[k].0.max(start);
-                return Err(ProfileError::Underflow { at });
-            }
+        // Validate first: the first segment of the window that dips below
+        // `cpus` is the first underflow.
+        let i = self.seg_index(start);
+        let mut window = self.segs[i..].iter().take_while(|&&(s, _)| s < end);
+        if let Some(&(s, _)) = window.find(|&&(_, avail)| avail < cpus) {
+            return Err(ProfileError::Underflow { at: s.max(start) });
         }
-        // Split segment boundaries at `start` and `end`.
-        if self.segs[i].0 < start {
-            let avail = self.segs[i].1;
-            self.segs.insert(i + 1, (start, avail));
-            i += 1;
-        }
-        let mut j = i;
-        while j < self.segs.len() && self.segs[j].0 < end {
-            j += 1;
-        }
-        // `j` is the first segment at or after `end`; if the previous
-        // segment extends past `end`, split it (unless `end` is beyond the
-        // horizon, in which case Time::MAX keeps the tail implicit).
-        if end < Time::MAX {
-            let prev_avail = self.segs[j - 1].1;
-            if j == self.segs.len() || self.segs[j].0 > end {
-                self.segs.insert(j, (end, prev_avail));
-            }
-        }
+        let (i, j) = self.split_window(start, end);
         for seg in &mut self.segs[i..j] {
             seg.1 -= cpus;
         }
-        self.coalesce();
-        self.index.rebuild(&self.segs);
+        self.coalesce(i, j);
         Ok(())
     }
 
@@ -471,8 +272,24 @@ impl Profile {
         if end <= start || cpus == 0 {
             return Ok(());
         }
-        // Split segment boundaries at `start` and `end` (same scheme as
-        // `commit`, without the underflow validation).
+        let (i, j) = self.split_window(start, end);
+        for seg in &mut self.segs[i..j] {
+            seg.1 += cpus;
+            assert!(
+                seg.1 <= self.total,
+                "release_over exceeds machine size at {:?}",
+                seg.0
+            );
+        }
+        self.coalesce(i, j);
+        Ok(())
+    }
+
+    /// Splits segment boundaries at `start` (`>=` the origin) and `end`,
+    /// and returns the index range `[i, j)` of the segments that now cover
+    /// exactly `[start, end)`. An `end` of `Time::MAX` keeps the tail
+    /// implicit.
+    fn split_window(&mut self, start: Time, end: Time) -> (usize, usize) {
         let mut i = self.seg_index(start);
         if self.segs[i].0 < start {
             let avail = self.segs[i].1;
@@ -483,23 +300,15 @@ impl Profile {
         while j < self.segs.len() && self.segs[j].0 < end {
             j += 1;
         }
+        // `j` is the first segment at or after `end`; if the previous
+        // segment extends past `end`, split it.
         if end < Time::MAX {
             let prev_avail = self.segs[j - 1].1;
             if j == self.segs.len() || self.segs[j].0 > end {
                 self.segs.insert(j, (end, prev_avail));
             }
         }
-        for seg in &mut self.segs[i..j] {
-            seg.1 += cpus;
-            assert!(
-                seg.1 <= self.total,
-                "release_over exceeds machine size at {:?}",
-                seg.0
-            );
-        }
-        self.coalesce();
-        self.index.rebuild(&self.segs);
-        Ok(())
+        (i, j)
     }
 
     /// Advances the profile origin to `now`, discarding fully-elapsed
@@ -509,20 +318,22 @@ impl Profile {
     /// earlier than the current origin is a no-op.
     pub fn advance_origin(&mut self, now: Time) {
         let i = self.seg_index(now);
-        if i > 0 {
-            self.segs.drain(..i);
-            self.index.rebuild(&self.segs);
-        }
+        self.segs.drain(..i);
         if self.segs[0].0 < now {
             self.segs[0].0 = now;
-            // Availability values are untouched, so the index (which holds
-            // only availabilities) is already correct for this branch.
         }
     }
 
-    /// Merges adjacent segments with equal availability.
-    fn coalesce(&mut self) {
-        self.segs.dedup_by(|next, prev| prev.1 == next.1);
+    /// Restores the no-equal-neighbours invariant after the segments
+    /// `[i, j)` were shifted by one amount: pairs inside the window stay
+    /// distinct, so only the two boundary pairs can have become equal.
+    fn coalesce(&mut self, i: usize, j: usize) {
+        if j < self.segs.len() && self.segs[j].1 == self.segs[j - 1].1 {
+            self.segs.remove(j);
+        }
+        if i > 0 && self.segs[i].1 == self.segs[i - 1].1 {
+            self.segs.remove(i);
+        }
     }
 
     /// Debug invariant check used by tests.
@@ -534,6 +345,9 @@ impl Profile {
             if w[1].0 <= w[0].0 {
                 return Err(format!("segment starts not increasing: {:?}", w));
             }
+            if w[1].1 == w[0].1 {
+                return Err(format!("equal neighbours not merged: {:?}", w));
+            }
         }
         for &(t, a) in &self.segs {
             if a > self.total {
@@ -542,11 +356,6 @@ impl Profile {
                     self.total
                 ));
             }
-        }
-        let mut expect = SegIndex::default();
-        expect.rebuild(&self.segs);
-        if self.index != expect {
-            return Err("segment-tree index out of sync with segments".into());
         }
         Ok(())
     }
@@ -828,11 +637,60 @@ mod tests {
         assert!(p.can_fit(Time(0), 4, 100)); // exactly up to the dip
     }
 
-    /// Exhaustively compares the indexed queries against the linear
-    /// oracles over a staircase profile with dips, across a grid of probe
-    /// points, sizes and durations (including dur = 0 and u64::MAX).
+    /// Brute-force oracle for [`Profile::min_available`]: availability
+    /// read at `start` and at every breakpoint inside the window.
+    fn brute_min(p: &Profile, start: Time, dur: u64) -> u32 {
+        let end = start.saturating_add(dur);
+        p.segments()
+            .iter()
+            .map(|&(t, _)| t)
+            .filter(|&t| t > start && t < end)
+            .fold(p.available_at(start), |m, t| m.min(p.available_at(t)))
+    }
+
+    /// Brute-force oracle for [`Profile::earliest_fit`]: the first
+    /// candidate — `not_before` (clamped to the origin) or a later
+    /// breakpoint — whose whole window fits.
+    fn brute_fit(p: &Profile, cpus: u32, dur: u64, not_before: Time) -> Option<Time> {
+        if cpus > p.total() {
+            return None;
+        }
+        let first = not_before.max(p.origin());
+        std::iter::once(first)
+            .chain(p.segments().iter().map(|&(t, _)| t).filter(|&t| t > first))
+            .find(|&t| brute_min(p, t, dur) >= cpus)
+    }
+
+    /// Checks both queries against the brute-force oracles at every
+    /// breakpoint (± 1) and every probe, over a grid of sizes and
+    /// durations (including dur = 0 and u64::MAX).
+    fn assert_matches_brute_force(p: &Profile, probes: impl IntoIterator<Item = u64>) {
+        p.check_invariants().unwrap();
+        let mut starts: Vec<u64> = probes.into_iter().collect();
+        for &(t, _) in p.segments() {
+            let t = t.as_secs();
+            starts.extend([t.saturating_sub(1), t, t.saturating_add(1)]);
+        }
+        for &t in &starts {
+            for dur in [0u64, 1, 5, 30, 75, 100, u64::MAX] {
+                assert_eq!(
+                    p.min_available(Time(t), dur),
+                    brute_min(p, Time(t), dur),
+                    "min_available at t={t} dur={dur}"
+                );
+                for cpus in 0..=p.total() + 1 {
+                    assert_eq!(
+                        p.earliest_fit(cpus, dur, Time(t)),
+                        brute_fit(p, cpus, dur, Time(t)),
+                        "earliest_fit cpus={cpus} dur={dur} not_before={t}"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
-    fn indexed_queries_match_linear_oracles() {
+    fn queries_match_brute_force_on_a_staircase_with_dips() {
         let mut p = Profile::flat(Time(0), 32, 32);
         for (s, e, c) in [
             (10u64, 50u64, 8u32),
@@ -844,43 +702,35 @@ mod tests {
             let end = if e == u64::MAX { Time::MAX } else { Time(e) };
             p.commit(Time(s), end, c).unwrap();
         }
-        p.check_invariants().unwrap();
-        for t in 0..120u64 {
-            for dur in [0u64, 1, 5, 30, 100, u64::MAX] {
-                assert_eq!(
-                    p.min_available(Time(t), dur),
-                    p.min_available_linear(Time(t), dur),
-                    "min_available at t={t} dur={dur}"
-                );
-                for cpus in [0u32, 1, 2, 8, 16, 17, 31, 32, 33] {
-                    assert_eq!(
-                        p.earliest_fit(cpus, dur, Time(t)),
-                        p.earliest_fit_linear(cpus, dur, Time(t)),
-                        "earliest_fit cpus={cpus} dur={dur} not_before={t}"
-                    );
-                }
-            }
-        }
+        assert_matches_brute_force(&p, 0..120);
     }
 
     #[test]
-    fn indexed_queries_match_linear_after_every_mutation_kind() {
+    fn queries_match_brute_force_after_every_mutation_kind() {
         let mut p = sample();
         p.commit(Time(150), Time(250), 2).unwrap();
+        assert_matches_brute_force(&p, 90..360);
         p.release_over(Time(150), Time(250), 2).unwrap();
+        assert_matches_brute_force(&p, 90..360);
         p.advance_origin(Time(220));
-        p.check_invariants().unwrap();
-        for t in 200..350u64 {
-            for cpus in 0..=11u32 {
-                assert_eq!(
-                    p.earliest_fit(cpus, 75, Time(t)),
-                    p.earliest_fit_linear(cpus, 75, Time(t))
-                );
-            }
-            assert_eq!(
-                p.min_available(Time(t), 60),
-                p.min_available_linear(Time(t), 60)
-            );
-        }
+        assert_matches_brute_force(&p, 200..350);
+    }
+
+    #[test]
+    fn commit_underflow_reports_the_first_dip_inside_the_window() {
+        let mut p = Profile::flat(Time(0), 8, 8);
+        p.commit(Time(20), Time(30), 6).unwrap();
+        p.commit(Time(40), Time(50), 7).unwrap();
+        // A dip that starts before the window is reported at its start.
+        assert_eq!(
+            p.commit(Time(25), Time(45), 3),
+            Err(ProfileError::Underflow { at: Time(25) })
+        );
+        // A dip past the window end does not block it.
+        assert_eq!(p.commit(Time(0), Time(20), 8), Ok(()));
+        assert_eq!(
+            p.commit(Time(30), Time(41), 2),
+            Err(ProfileError::Underflow { at: Time(40) })
+        );
     }
 }

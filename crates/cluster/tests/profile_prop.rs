@@ -109,41 +109,66 @@ proptest! {
         prop_assert_eq!(p.min_available(start, dur), expected);
     }
 
-    /// The O(log n) indexed queries agree with the linear oracles on
-    /// profiles shaped by random commitment sequences — the A/B oracle for
-    /// the segment-tree rework, probing every segment boundary (± 1) plus
-    /// random offsets, with degenerate durations included.
+    /// Random commit / `release_over` / `advance_origin` sequences: after
+    /// every step the profile agrees with an independent model (the built
+    /// profile plus the log of live windows) at every breakpoint, and both
+    /// queries agree with brute-force oracles over the model's breakpoints.
     #[test]
-    fn indexed_queries_match_linear_oracle(
+    fn mutation_sequences_match_brute_force_model(
         p in arb_profile(),
-        commits in arb_commits(),
-        probes in proptest::collection::vec((0u64..16_000, 0u64..10_000, 0u32..=TOTAL + 1), 1..24),
+        ops in proptest::collection::vec((0u8..3, 0u64..12_000, 1u64..8_000, 1u32..TOTAL), 1..24),
+        probes in proptest::collection::vec((0u64..16_000, 0u64..10_000, 0u32..=TOTAL + 1), 1..8),
     ) {
+        let mut model = Model::new(&p);
         let mut p = p;
-        for (start, dur, cpus) in commits {
-            let end = Time(start.saturating_add(dur));
-            let _ = p.commit(Time(start), end, cpus);
-        }
-        p.check_invariants().map_err(TestCaseError::fail)?;
-        let mut starts: Vec<u64> = p.segments().iter().map(|&(t, _)| t.as_secs()).collect();
-        starts.extend(probes.iter().map(|&(t, _, _)| t));
-        for &(seg_start, _) in p.segments() {
-            starts.push(seg_start.as_secs().saturating_sub(1));
-            starts.push(seg_start.as_secs().saturating_add(1));
-        }
-        for &t in &starts {
-            for &(_, dur, cpus) in &probes {
-                for d in [dur, 0, u64::MAX] {
-                    prop_assert_eq!(
-                        p.min_available(Time(t), d),
-                        p.min_available_linear(Time(t), d),
-                        "min_available t={} dur={}", t, d
-                    );
-                    prop_assert_eq!(
-                        p.earliest_fit(cpus, d, Time(t)),
-                        p.earliest_fit_linear(cpus, d, Time(t)),
-                        "earliest_fit cpus={} dur={} not_before={}", cpus, d, t
-                    );
+        for (kind, a, b, cpus) in ops {
+            match kind {
+                0 => {
+                    let start = Time(model.origin.as_secs() + a);
+                    let end = Time(start.as_secs().saturating_add(b));
+                    let before = p.clone();
+                    match p.commit(start, end, cpus) {
+                        Ok(()) => model.live.push((start, end, cpus)),
+                        Err(_) => prop_assert_eq!(&p, &before, "failed commit must not mutate"),
+                    }
+                }
+                1 => {
+                    if model.live.is_empty() {
+                        continue;
+                    }
+                    let (start, end, cpus) = model.live.remove(a as usize % model.live.len());
+                    let start = start.max(model.origin);
+                    p.release_over(start, end, cpus).map_err(|e| TestCaseError::fail(e.to_string()))?;
+                }
+                _ => {
+                    model.origin = Time(model.origin.as_secs() + a % 2_000);
+                    p.advance_origin(model.origin);
+                }
+            }
+            p.check_invariants().map_err(TestCaseError::fail)?;
+            prop_assert_eq!(p.origin(), model.origin);
+            let points = model.breakpoints();
+            for &t in &points {
+                prop_assert_eq!(p.available_at(t), model.avail(t), "available_at {:?}", t);
+            }
+            let mut starts: Vec<Time> = probes.iter().map(|&(t, _, _)| Time(t)).collect();
+            for &t in &points {
+                starts.extend([Time(t.as_secs().saturating_sub(1)), t, Time(t.as_secs() + 1)]);
+            }
+            for &t in &starts {
+                for &(_, dur, cpus) in &probes {
+                    for d in [dur, 0, u64::MAX] {
+                        prop_assert_eq!(
+                            p.min_available(t, d),
+                            model.brute_min(&points, t, d),
+                            "min_available t={:?} dur={}", t, d
+                        );
+                        prop_assert_eq!(
+                            p.earliest_fit(cpus, d, t),
+                            model.brute_fit(&points, cpus, d, t),
+                            "earliest_fit cpus={} dur={} not_before={:?}", cpus, d, t
+                        );
+                    }
                 }
             }
         }
@@ -180,5 +205,75 @@ proptest! {
                 }
             }
         }
+    }
+}
+
+/// Independent availability model: the profile as built, minus every live
+/// committed window, read no earlier than the current origin.
+struct Model {
+    base: Vec<(Time, u32)>,
+    live: Vec<(Time, Time, u32)>,
+    origin: Time,
+}
+
+impl Model {
+    fn new(p: &Profile) -> Self {
+        Model {
+            base: p.segments().to_vec(),
+            live: Vec::new(),
+            origin: p.origin(),
+        }
+    }
+
+    /// Availability at `t` (clamped to the origin).
+    fn avail(&self, t: Time) -> u32 {
+        let t = t.max(self.origin);
+        let base = self
+            .base
+            .iter()
+            .take_while(|&&(s, _)| s <= t)
+            .last()
+            .map_or(self.base[0].1, |&(_, a)| a);
+        let taken: u32 = self
+            .live
+            .iter()
+            .filter(|&&(s, e, _)| s <= t && t < e)
+            .map(|&(_, _, c)| c)
+            .sum();
+        base - taken
+    }
+
+    /// Every instant at or after the origin where availability may step.
+    fn breakpoints(&self) -> Vec<Time> {
+        let mut pts: Vec<Time> = std::iter::once(self.origin)
+            .chain(self.base.iter().map(|&(t, _)| t))
+            .chain(self.live.iter().flat_map(|&(s, e, _)| [s, e]))
+            .filter(|&t| t >= self.origin && t < Time::MAX)
+            .collect();
+        pts.sort_unstable();
+        pts.dedup();
+        pts
+    }
+
+    /// Minimum availability read at `start` and every breakpoint inside
+    /// `[start, start+dur)`.
+    fn brute_min(&self, points: &[Time], start: Time, dur: u64) -> u32 {
+        let end = start.saturating_add(dur);
+        points
+            .iter()
+            .filter(|&&t| t > start && t < end)
+            .fold(self.avail(start), |m, &t| m.min(self.avail(t)))
+    }
+
+    /// The first candidate start — `not_before` (clamped to the origin) or
+    /// a later breakpoint — whose whole window fits.
+    fn brute_fit(&self, points: &[Time], cpus: u32, dur: u64, not_before: Time) -> Option<Time> {
+        if cpus > TOTAL {
+            return None;
+        }
+        let first = not_before.max(self.origin);
+        std::iter::once(first)
+            .chain(points.iter().copied().filter(|&t| t > first))
+            .find(|&t| self.brute_min(points, t, dur) >= cpus)
     }
 }

@@ -39,30 +39,41 @@
 //!   the finished job's remaining `[now, expected_end)` window
 //!   ([`bsld_cluster::Profile::release_over`]), the stale reservation is
 //!   released, the reservation is re-derived (it can only move earlier) and
-//!   re-committed — no rebuild;
-//! * **pass skipping** for arrival events that provably cannot change the
-//!   schedule, and **batching** of same-instant arrivals (via the event
-//!   queue's peek) into a single pass.
+//!   re-committed — no rebuild. The committed profile is a function of the
+//!   running jobs and the reservation only, so every EASY run keeps it,
+//!   whatever the policy, hook or boost;
+//! * **pass skipping** for arrival and power-retry events that provably
+//!   cannot change the schedule, and **batching** of same-instant arrivals
+//!   (via the event queue's peek) into a single pass when no hook is
+//!   attached.
 //!
 //! A full rebuild only happens when the cache is genuinely invalidated: a
 //! running job's *requested* end has been reached without its completion
 //! event (same-instant ordering), a mid-run re-time (boost), a reservation
-//! that starts "now" (contiguous-selection fragmentation), or a pass that
-//! started the cached head.
+//! that starts "now" (contiguous-selection fragmentation or a deferred
+//! head), or a queue that drained.
 //!
 //! ## Pass-skip conditions
 //!
-//! An arrival event is skipped (no pass at all) only when **all** hold:
-//! the engine runs EASY mode with no [`PowerHook`] and no boost; the policy
+//! An arrival or power-retry event is skipped (no pass at all) only when
+//! **all** hold: the engine runs EASY mode with no boost; the policy
 //! declares itself elision-safe
 //! ([`crate::FrequencyPolicy::pass_elision_safe`]) or backfilling is off;
 //! the queue was non-empty (so the head — which could not start at the
 //! previous pass, and nothing has freed processors since — is unchanged);
-//! and the arriving job either needs more processors than are free or is
-//! declined by `backfill_gear` against the cached committed profile. Under
+//! the [`PowerHook`], if any, has not turned down a start since the last
+//! full pass (the **veto rule**: a deferral, or an admission whose gear
+//! no longer fits or could not be allocated, forces every later event
+//! onto the full pass until a full pass clears it); and each arriving job
+//! either needs more processors than are free or is declined by
+//! `backfill_gear` against the cached committed profile (a job it accepts
+//! is offered to the hook and started, exactly as in a full pass). Under
 //! the elision-safety contract every *older* queued job keeps failing too
-//! (its wait only grew and the profile only weakened), so outcomes are
-//! bit-identical to the full re-scheduling engine —
+//! (its wait only grew and the profile only weakened), and under the veto
+//! rule none of them is waiting on the hook, so outcomes — and the hook's
+//! sequence of calls — are bit-identical to the full re-scheduling engine.
+//! A hook keeps one pass per event (no batching), so it sees the same
+//! `on_time` and `admit_start` calls either way.
 //! `EngineConfig { incremental: false, .. }` keeps the always-rebuild path
 //! as an A/B oracle, and [`SimResult::stats`] exposes rebuild/skip counters.
 //!
@@ -312,9 +323,17 @@ pub struct Simulation<'a, P: FrequencyPolicy + ?Sized> {
     /// `(expected_end, cpus)` of the job completed by the current event,
     /// consumed by the next pass's in-place profile update.
     last_completion: Option<(Time, u32)>,
-    /// Whether pass elision (cache + skip + batching) is permitted for this
-    /// run; see the module docs for the exact conditions.
+    /// Whether the committed profile and its cached reservation are kept
+    /// across passes and updated in place (every incremental EASY run).
+    reuse_profile: bool,
+    /// Whether provably no-op passes may be skipped; see the module docs
+    /// for the exact conditions.
     elide: bool,
+    /// Set when the power hook was consulted about a start that then did
+    /// not happen (deferred, or admitted at a gear the engine could not
+    /// honor); cleared at the start of every full pass. While set, every
+    /// event takes the full pass.
+    hook_vetoed: bool,
     /// Scratch buffers reused across passes.
     scratch_candidates: Vec<JobId>,
     scratch_started: Vec<JobId>,
@@ -377,13 +396,14 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
         for job in jobs {
             events.push(job.arrival, Event::Arrive(job.id));
         }
-        // Pass elision is only provably outcome-preserving under EASY with
-        // no hook/boost and an elision-safe policy (or no
-        // backfilling, where an arrival behind a blocked head is inert).
-        let elide = cfg.incremental
-            && cfg.mode == SchedMode::Easy
-            && cfg.boost.is_none()
-            && (policy.pass_elision_safe() || !cfg.backfill);
+        // The in-place profile depends only on running jobs and the
+        // reservation, so every incremental EASY run may keep it. Skipping
+        // a pass is only provably outcome-preserving with no boost and an
+        // elision-safe policy (or no backfilling, where an arrival behind a
+        // blocked head is inert); a hook adds the runtime veto rule.
+        let reuse_profile = cfg.incremental && cfg.mode == SchedMode::Easy;
+        let elide =
+            reuse_profile && cfg.boost.is_none() && (policy.pass_elision_safe() || !cfg.backfill);
         let pool = cluster.pool();
         Ok(Simulation {
             jobs,
@@ -403,7 +423,9 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
             end_index: BTreeMap::new(),
             cache: None,
             last_completion: None,
+            reuse_profile,
             elide,
+            hook_vetoed: false,
             scratch_candidates: Vec::new(),
             scratch_started: Vec::new(),
             outcomes: Vec::with_capacity(jobs.len()),
@@ -413,11 +435,10 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
 
     /// Attaches a [`PowerHook`] (builder style). The hook observes every
     /// start/completion/gear change and may veto or down-gear decisions.
+    /// Pass elision stays on under the veto rule (see the module docs), but
+    /// same-instant arrivals are no longer batched.
     pub fn with_hook(mut self, hook: &'a mut dyn PowerHook) -> Self {
         self.hook = Some(hook);
-        // A hook's admissions depend on power state the elision proofs do
-        // not model — every event takes the full pass.
-        self.elide = false;
         self
     }
 
@@ -476,10 +497,11 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
                         // any completion, so same-instant arrivals are
                         // delivered back to back; coalesce them into one
                         // pass (provably identical under elision — see the
-                        // module docs).
+                        // module docs). A hook keeps one pass per event.
                         batch.clear();
                         batch.push(id);
-                        while matches!(self.events.peek(), Some((t2, Event::Arrive(_))) if t2 == t)
+                        while self.hook.is_none()
+                            && matches!(self.events.peek(), Some((t2, Event::Arrive(_))) if t2 == t)
                         {
                             match self.events.pop() {
                                 Some((_, Event::Arrive(id2))) => {
@@ -504,7 +526,13 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
                 }
                 Event::PowerRetry => {
                     self.emit(|| bsld_obs::TraceEvent::PowerRetry { t: t.as_micros() });
-                    self.schedule_pass();
+                    if self.elide {
+                        // A wake-up adds no job: the elided path with an
+                        // empty batch.
+                        self.pass_after_arrivals(&[]);
+                    } else {
+                        self.schedule_pass();
+                    }
                 }
             }
             self.maybe_boost();
@@ -588,6 +616,7 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
     fn hook_declined(&mut self) {
         if let Some(h) = self.hook.as_deref_mut() {
             h.admission_declined();
+            self.hook_vetoed = true;
         }
     }
 
@@ -604,7 +633,10 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
         match self.hook.as_deref_mut() {
             None => Some(gear),
             Some(h) => {
-                let admitted = h.admit_start(now, cpus, gear, wq_others, head)?;
+                let Some(admitted) = h.admit_start(now, cpus, gear, wq_others, head) else {
+                    self.hook_vetoed = true;
+                    return None;
+                };
                 debug_assert!(admitted <= gear, "a power hook may only down-gear a start");
                 Some(admitted)
             }
@@ -713,6 +745,7 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
     /// One scheduling pass under the configured discipline.
     fn schedule_pass(&mut self) {
         self.stats.passes += 1;
+        self.hook_vetoed = false;
         let rebuilds_before = self.stats.profile_rebuilds;
         let running_before = self.running.len();
         match self.cfg.mode {
@@ -796,15 +829,17 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
         debug_assert_eq!(next, started.len(), "every started job was queued");
     }
 
-    /// Handles a batch of same-instant arrivals under pass elision: skip
-    /// the pass when provably a no-op, evaluate only the new jobs against
-    /// the cached committed profile when possible, and fall back to a full
-    /// pass otherwise. See the module docs for the safety argument.
+    /// Handles a batch of same-instant arrivals (empty for a power-retry
+    /// wake-up) under pass elision: skip the pass when provably a no-op,
+    /// evaluate only the new jobs against the cached committed profile when
+    /// possible, and fall back to a full pass otherwise. See the module
+    /// docs for the safety argument.
     fn pass_after_arrivals(&mut self, batch: &[JobId]) {
-        debug_assert!(self.elide && self.hook.is_none());
+        debug_assert!(self.elide);
         let prev_len = self.queue.len() - batch.len();
-        if prev_len == 0 {
-            // The new head may be able to start immediately: full pass
+        if prev_len == 0 || self.hook_vetoed {
+            // The new head may be able to start immediately, or the hook
+            // turned down a start it must be asked about again: full pass
             // (which also re-establishes the cache).
             self.schedule_pass();
             return;
@@ -840,31 +875,9 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
         let mut started = std::mem::take(&mut self.scratch_started);
         started.clear();
         for &id in batch {
-            let job = self.job(id);
-            if job.cpus > self.pool.free_count() {
-                continue;
-            }
             let wq_others = self.queue.len() - 1 - started.len();
-            let chosen = {
-                let ctx = self.ctx(job, wq_others);
-                let tm = self.time_model;
-                let now = self.now;
-                let profile_ref = &self.profile;
-                let mut fits = |gear: GearId| {
-                    let dur = tm.dilate(job.requested, job.beta, gear);
-                    profile_ref.can_fit(now, job.cpus, dur)
-                };
-                self.policy.backfill_gear(&ctx, &mut fits)
-            };
-            if let Some(gear) = chosen {
-                if self.try_start_job(id, gear, true) {
-                    let dur = self.time_model.dilate(job.requested, job.beta, gear);
-                    self.profile
-                        .commit(self.now, self.now.saturating_add(dur), job.cpus)
-                        // audit:allow(R1): scheduler state invariant; the expect message states it, and the determinism suite exercises these paths
-                        .expect("policy returned a gear that does not fit");
-                    started.push(id);
-                }
+            if self.try_backfill(id, wq_others) {
+                started.push(id);
             }
         }
         if started.is_empty() {
@@ -941,7 +954,7 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
         // exactly at its expected end needs a rebuild: its pending release
         // may sit floored at `now + 1` (same-instant rebuild) while the
         // freed processors belong in the present.
-        let in_place = self.elide
+        let in_place = self.reuse_profile
             && self.cache_usable()
             && completion.is_none_or(|(expected_end, _)| expected_end > self.now);
         if in_place {
@@ -1049,7 +1062,7 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
             .commit(res_start, res_end, head_job.cpus)
             // audit:allow(R1): scheduler state invariant; the expect message states it, and the determinism suite exercises these paths
             .expect("reservation fits by construction");
-        if self.elide {
+        if self.reuse_profile {
             self.cache = Some(HeadReservation {
                 head,
                 start: res_start,
@@ -1068,55 +1081,9 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
         let mut started = std::mem::take(&mut self.scratch_started);
         started.clear();
         for &id in &candidates {
-            let job = self.job(id);
-            if job.cpus > self.pool.free_count() {
-                continue;
-            }
             let wq_others = self.queue.len() - 1 - started.len();
-            let chosen = {
-                let ctx = self.ctx(job, wq_others);
-                let tm = self.time_model;
-                let now = self.now;
-                let profile_ref = &self.profile;
-                let mut fits = |gear: GearId| {
-                    let dur = tm.dilate(job.requested, job.beta, gear);
-                    profile_ref.can_fit(now, job.cpus, dur)
-                };
-                self.policy.backfill_gear(&ctx, &mut fits)
-            };
-            if let Some(gear) = chosen {
-                let Some(admitted) = self.hook_admit(job.cpus, gear, wq_others, false) else {
-                    self.emit(|| bsld_obs::TraceEvent::CapVeto {
-                        t: self.now.as_micros(),
-                        job: u64::from(id.0),
-                        site: bsld_obs::VetoSite::Backfill,
-                    });
-                    continue;
-                };
-                if admitted != gear {
-                    // A down-geared backfill runs longer; it must still fit
-                    // in front of the reservation or the job stays queued.
-                    let dur = self.time_model.dilate(job.requested, job.beta, admitted);
-                    if !self.profile.can_fit(self.now, job.cpus, dur) {
-                        self.hook_declined();
-                        self.emit(|| bsld_obs::TraceEvent::CapVeto {
-                            t: self.now.as_micros(),
-                            job: u64::from(id.0),
-                            site: bsld_obs::VetoSite::Backfill,
-                        });
-                        continue;
-                    }
-                }
-                if self.try_start_job(id, admitted, true) {
-                    let dur = self.time_model.dilate(job.requested, job.beta, admitted);
-                    self.profile
-                        .commit(self.now, self.now.saturating_add(dur), job.cpus)
-                        // audit:allow(R1): scheduler state invariant; the expect message states it, and the determinism suite exercises these paths
-                        .expect("policy returned a gear that does not fit");
-                    started.push(id);
-                } else {
-                    self.hook_declined();
-                }
+            if self.try_backfill(id, wq_others) {
+                started.push(id);
             }
         }
         self.remove_started(&started);
@@ -1127,6 +1094,61 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
         started.clear();
         self.scratch_candidates = candidates;
         self.scratch_started = started;
+    }
+
+    /// Offers queued job `id` a backfill start now against the committed
+    /// profile (EASY step 3): the policy picks a fitting gear, the hook may
+    /// defer or down-gear it (a down-geared start must still fit in front
+    /// of the reservation), and a started job's window is committed.
+    /// Returns whether the job started; the caller removes it from the
+    /// queue.
+    fn try_backfill(&mut self, id: JobId, wq_others: usize) -> bool {
+        let job = self.job(id);
+        if job.cpus > self.pool.free_count() {
+            return false;
+        }
+        let chosen = {
+            let ctx = self.ctx(job, wq_others);
+            let tm = self.time_model;
+            let now = self.now;
+            let profile_ref = &self.profile;
+            let mut fits = |gear: GearId| {
+                let dur = tm.dilate(job.requested, job.beta, gear);
+                profile_ref.can_fit(now, job.cpus, dur)
+            };
+            self.policy.backfill_gear(&ctx, &mut fits)
+        };
+        let Some(gear) = chosen else {
+            return false;
+        };
+        let veto = |sim: &Self| {
+            sim.emit(|| bsld_obs::TraceEvent::CapVeto {
+                t: sim.now.as_micros(),
+                job: u64::from(id.0),
+                site: bsld_obs::VetoSite::Backfill,
+            });
+        };
+        let Some(admitted) = self.hook_admit(job.cpus, gear, wq_others, false) else {
+            veto(self);
+            return false;
+        };
+        let dur = self.time_model.dilate(job.requested, job.beta, admitted);
+        if admitted != gear && !self.profile.can_fit(self.now, job.cpus, dur) {
+            // A down-geared backfill runs longer; it must still fit in
+            // front of the reservation or the job stays queued.
+            self.hook_declined();
+            veto(self);
+            return false;
+        }
+        if !self.try_start_job(id, admitted, true) {
+            self.hook_declined();
+            return false;
+        }
+        self.profile
+            .commit(self.now, self.now.saturating_add(dur), job.cpus)
+            // audit:allow(R1): scheduler state invariant; the expect message states it, and the determinism suite exercises these paths
+            .expect("policy returned a gear that does not fit");
+        true
     }
 
     /// One conservative-backfilling pass: every queued job receives an
@@ -1314,7 +1336,7 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
         self.end_index_remove(old_expected_end, cpus);
         *self.end_index.entry(new_expected_end).or_insert(0) += cpus;
         // A re-time moves the job's pending release; the cached profile no
-        // longer matches (boost disables elision, but stay defensive).
+        // longer matches, so the next pass rebuilds it.
         self.cache = None;
         self.events.push(self.now + wall, Event::Finish(id, epoch));
         let now = self.now;
@@ -2071,6 +2093,34 @@ mod tests {
             .outcomes
         };
         assert_eq!(mk(true), mk(false));
+    }
+
+    #[test]
+    fn incremental_matches_full_rescan_with_boost() {
+        // Boost re-times running jobs, which invalidates the in-place
+        // profile; the next pass must rebuild and outcomes stay identical.
+        let jobs = ab_workload(120);
+        let tmm = tm();
+        let low = FixedGearPolicy::new(GearId(0));
+        let mk = |incremental| {
+            simulate(
+                &cluster(8),
+                &jobs,
+                &low,
+                &tmm,
+                &EngineConfig {
+                    boost: Some(BoostConfig { wq_limit: 2 }),
+                    incremental,
+                    ..Default::default()
+                },
+            )
+            .unwrap()
+        };
+        let (incr, full) = (mk(true), mk(false));
+        assert_eq!(incr.outcomes, full.outcomes);
+        assert!(incr.outcomes.iter().any(|o| o.phases.len() > 1), "boosted");
+        assert_eq!(incr.stats.passes_skipped, 0, "boost keeps every pass");
+        assert!(incr.stats.profile_rebuilds < full.stats.profile_rebuilds);
     }
 
     #[test]

@@ -8,11 +8,15 @@
 //! assert the incremental engine produces **bit-identical**
 //! `SimResult.outcomes`, while doing measurably fewer full profile
 //! rebuilds (counters exposed via `SimResult::stats` /
-//! `RunResult::pass_stats`).
+//! `RunResult::pass_stats`). Power-capped runs are compared too: there the
+//! power hook must also see the same calls, so the whole `PowerReport`
+//! (ledger energy, draw series, cap and sleep counters) must match.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
-use bsld::core::{PowerAwareConfig, Simulator, WqThreshold};
+use bsld::core::{PowerAwareConfig, PowerCapConfig, PowerCappedResult, Simulator, WqThreshold};
 use bsld::model::Job;
+use bsld::powercap::SleepConfig;
+use bsld::sched::{PassStats, SimError};
 use bsld::simkernel::Time;
 use bsld::workload::profiles::TraceProfile;
 
@@ -146,4 +150,108 @@ fn saturated_load_halves_profile_rebuilds() {
         incr.pass_stats.profile_rebuilds,
         full.pass_stats.profile_rebuilds
     );
+}
+
+/// The two policies the capped A/B runs under: the elision-safe 2/NO and
+/// the WQ-limited 2/WQ4 (in-place profile reuse without pass skipping).
+fn capped_policies() -> [PowerAwareConfig; 2] {
+    [WqThreshold::NoLimit, WqThreshold::Limit(4)].map(|wq| PowerAwareConfig {
+        bsld_threshold: 2.0,
+        wq_threshold: wq,
+    })
+}
+
+/// Everything a capped run reports, compared bit for bit.
+fn assert_same_capped_run(
+    a: &Result<PowerCappedResult, SimError>,
+    b: &Result<PowerCappedResult, SimError>,
+    what: &str,
+) {
+    let (a, b) = match (a, b) {
+        (Ok(a), Ok(b)) => (a, b),
+        (a, b) => {
+            assert_eq!(a.as_ref().err(), b.as_ref().err(), "{what}: run status");
+            return;
+        }
+    };
+    assert_eq!(a.run.outcomes, b.run.outcomes, "{what}: outcomes");
+    let (pa, pb) = (&a.power, &b.power);
+    assert_eq!(
+        pa.energy.to_bits(),
+        pb.energy.to_bits(),
+        "{what}: ledger energy"
+    );
+    assert_eq!(pa.peak.to_bits(), pb.peak.to_bits(), "{what}: peak");
+    assert_eq!(
+        pa.average.to_bits(),
+        pb.average.to_bits(),
+        "{what}: average"
+    );
+    assert_eq!(pa.series, pb.series, "{what}: power series");
+    assert_eq!(pa.cap, pb.cap, "{what}: CapStats");
+    assert_eq!(pa.sleep, pb.sleep, "{what}: SleepStats");
+    assert_eq!(pa.rails, pb.rails, "{what}: rail energies");
+}
+
+#[test]
+fn capped_runs_bit_identical_with_identical_power_reports() {
+    // Five profiles x hard caps {0.45, 0.8} x the paper's sleep ladder x
+    // {2/NO, 2/WQ4}: the hook-aware incremental engine vs the full
+    // re-scan. Elision must not change what the hook is asked, so the
+    // ledger, the enforcement counters and the sleep counters agree too.
+    let mut elided = 0;
+    for profile in grid_profiles() {
+        let w = profile.generate(AB_SEED, AB_JOBS);
+        let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
+        let oracle = sim.clone().with_full_rescan();
+        for cap in [0.45, 0.8] {
+            for policy in capped_policies() {
+                let cfg = PowerCapConfig::hard(cap)
+                    .with_sleep(SleepConfig::paper_default())
+                    .with_policy(policy);
+                let a = sim.run_power_capped(&w.jobs, &cfg);
+                let b = oracle.run_power_capped(&w.jobs, &cfg);
+                let what = format!("{} cap {cap} {}", w.cluster_name, policy.label());
+                assert_same_capped_run(&a, &b, &what);
+                if let (Ok(a), Ok(b)) = (&a, &b) {
+                    assert_eq!(b.run.pass_stats.passes_skipped, 0, "{what}");
+                    elided += a.run.pass_stats.passes_skipped;
+                }
+            }
+        }
+    }
+    assert!(elided > 0, "capped runs must elide passes");
+}
+
+#[test]
+fn pass_counters_are_pinned_on_a_small_fixture() {
+    // Exact counters: a lost elision or in-place reuse (more passes or
+    // more rebuilds) fails here even though outcomes stay identical.
+    let jobs = saturated_workload(400);
+    let sim = Simulator::paper_default("saturated", 32);
+    let wq4 = PowerAwareConfig {
+        bsld_threshold: 2.0,
+        wq_threshold: WqThreshold::Limit(4),
+    };
+    let capped = PowerCapConfig::hard(0.8)
+        .with_sleep(SleepConfig::paper_default())
+        .with_policy(PowerAwareConfig {
+            bsld_threshold: 2.0,
+            wq_threshold: WqThreshold::NoLimit,
+        });
+    let baseline = sim.run_baseline(&jobs).unwrap().pass_stats;
+    let wq = sim.run_power_aware(&jobs, &wq4).unwrap().pass_stats;
+    let cap = sim.run_power_capped(&jobs, &capped).unwrap().run.pass_stats;
+    let stats = |passes, profile_rebuilds, passes_skipped| PassStats {
+        passes,
+        profile_rebuilds,
+        passes_skipped,
+    };
+    // Same-instant arrival bursts of four are batched into one pass.
+    assert_eq!(baseline, stats(404, 1, 96), "baseline");
+    // Not elision-safe: one pass per event, but the profile is reused.
+    assert_eq!(wq, stats(800, 1, 0), "2/WQ4");
+    // A hook keeps one pass per event; arrivals and power retries the
+    // hook has no pending veto for are skipped.
+    assert_eq!(cap, stats(429, 38, 824), "capped 2/NO");
 }
