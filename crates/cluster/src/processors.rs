@@ -39,20 +39,21 @@ impl ProcSet {
         self.ranges.is_empty()
     }
 
-    /// Appends a processor index; indices must be pushed in increasing
-    /// order (the pool's First Fit scan guarantees this).
-    fn push(&mut self, idx: u32) {
+    /// Appends the run `[start, start+len)`; runs must be appended in
+    /// increasing order (the pool's First Fit scan guarantees this). A run
+    /// adjacent to the last range extends it.
+    fn push_run(&mut self, start: u32, len: u32) {
         if let Some(last) = self.ranges.last_mut() {
             debug_assert!(
-                idx >= last.0 + last.1,
-                "ProcSet::push requires increasing indices"
+                start >= last.0 + last.1,
+                "ProcSet::push_run requires increasing runs"
             );
-            if idx == last.0 + last.1 {
-                last.1 += 1;
+            if start == last.0 + last.1 {
+                last.1 += len;
                 return;
             }
         }
-        self.ranges.push((idx, 1));
+        self.ranges.push((start, len));
     }
 
     /// Iterates the contained indices in increasing order.
@@ -176,25 +177,27 @@ impl ProcessorPool {
 
     /// Allocates the `n` lowest-indexed free processors (First Fit),
     /// or returns `None` (changing nothing) if fewer than `n` are free.
+    ///
+    /// Works a word at a time: each maximal run of free processors in a
+    /// word is taken whole (or, in the last word, only its lowest part)
+    /// and appended to the set as one range.
     pub fn allocate_first_fit(&mut self, n: u32) -> Option<ProcSet> {
         if n > self.free {
             return None;
         }
-        if n == 0 {
-            return Some(ProcSet::new());
-        }
         let mut set = ProcSet::new();
         let mut remaining = n;
         for (w, word) in self.words.iter_mut().enumerate() {
-            while *word != 0 && remaining > 0 {
-                let bit = word.trailing_zeros();
-                let idx = (w * 64) as u32 + bit;
-                *word &= !(1u64 << bit);
-                set.push(idx);
-                remaining -= 1;
-            }
             if remaining == 0 {
                 break;
+            }
+            let base = (w * 64) as u32;
+            while *word != 0 && remaining > 0 {
+                let lo = word.trailing_zeros();
+                let run = (*word >> lo).trailing_ones().min(remaining);
+                *word &= !span_mask(lo, run);
+                set.push_run(base + lo, run);
+                remaining -= run;
             }
         }
         debug_assert_eq!(remaining, 0, "free count said {} were available", n);
@@ -233,9 +236,7 @@ impl ProcessorPool {
                 }
                 run_len += 1;
                 if run_len == n {
-                    for i in run_start..run_start + n {
-                        self.words[i as usize / 64] &= !(1u64 << (i % 64));
-                    }
+                    self.for_each_span(run_start, n, |word, mask| *word &= !mask);
                     self.free -= n;
                     return Some(ProcSet::from_range(run_start, n));
                 }
@@ -270,10 +271,10 @@ impl ProcessorPool {
         }
         debug_assert_eq!(remaining, 0);
         self.free -= n;
-        picked.reverse(); // ProcSet::push requires increasing indices
+        picked.reverse(); // ProcSet::push_run requires increasing runs
         let mut set = ProcSet::new();
         for idx in picked {
-            set.push(idx);
+            set.push_run(idx, 1);
         }
         Some(set)
     }
@@ -306,25 +307,50 @@ impl ProcessorPool {
         }
     }
 
-    /// Releases a previously allocated set back to the pool.
+    /// Releases a previously allocated set back to the pool, one masked
+    /// span per word.
     ///
     /// # Panics
     /// Panics (in debug builds) if any processor in `set` was already free —
     /// that would mean double-release, a scheduler bug.
     pub fn release(&mut self, set: &ProcSet) {
         for &(start, len) in set.ranges() {
-            for idx in start..start + len {
-                let (w, b) = (idx as usize / 64, idx % 64);
+            self.for_each_span(start, len, |word, mask| {
                 debug_assert_eq!(
-                    self.words[w] & (1 << b),
+                    *word & mask,
                     0,
-                    "double release of processor {idx}"
+                    "double release of a processor in [{start}, {})",
+                    start + len
                 );
-                self.words[w] |= 1 << b;
-            }
+                *word |= mask;
+            });
         }
         self.free += set.count();
         debug_assert!(self.free <= self.total);
+    }
+
+    /// Calls `f(word, mask)` once per word that `[start, start+len)`
+    /// touches, with the mask of the range's bits in that word.
+    fn for_each_span(&mut self, start: u32, len: u32, mut f: impl FnMut(&mut u64, u64)) {
+        let end = start + len;
+        let mut idx = start;
+        while idx < end {
+            let bit = idx % 64;
+            let take = (64 - bit).min(end - idx);
+            f(&mut self.words[idx as usize / 64], span_mask(bit, take));
+            idx += take;
+        }
+    }
+}
+
+/// The mask of bits `[lo, lo+len)` of a word (`lo + len <= 64`).
+#[inline]
+fn span_mask(lo: u32, len: u32) -> u64 {
+    debug_assert!(lo + len <= 64);
+    if len == 64 {
+        u64::MAX
+    } else {
+        ((1u64 << len) - 1) << lo
     }
 }
 
@@ -336,7 +362,7 @@ mod tests {
     fn procset_ranges_compact() {
         let mut s = ProcSet::new();
         for i in [0u32, 1, 2, 5, 6, 9] {
-            s.push(i);
+            s.push_run(i, 1);
         }
         assert_eq!(s.ranges(), &[(0, 3), (5, 2), (9, 1)]);
         assert_eq!(s.count(), 6);

@@ -194,6 +194,21 @@ impl Profile {
         cpus <= self.total && self.min_available(start, dur) >= cpus
     }
 
+    /// How long `cpus` processors stay continuously available from
+    /// `start`: `None` if fewer than `cpus` are available at `start`,
+    /// otherwise the distance from `start` to the first segment that dips
+    /// below `cpus` (`u64::MAX` if none does). `can_fit(start, cpus, dur)`
+    /// holds exactly when the span is `Some(s)` with `dur <= s`, so one
+    /// query answers every duration a backfill candidate may ask about.
+    pub fn free_span(&self, start: Time, cpus: u32) -> Option<u64> {
+        let i = self.seg_index(start);
+        if self.segs[i].1 < cpus {
+            return None;
+        }
+        let dip = self.segs[i + 1..].iter().find(|&&(_, avail)| avail < cpus);
+        Some(dip.map_or(u64::MAX, |&(s, _)| s - start))
+    }
+
     /// Earliest `t ≥ not_before` such that `cpus` processors are available
     /// throughout `[t, t+dur)`, or `None` if no such time exists (only when
     /// `cpus > total` or a commitment blocks the horizon forever).
@@ -635,6 +650,30 @@ mod tests {
         assert!(p.can_fit(t, 4, 150));
         assert!(!p.can_fit(Time(0), 4, 150));
         assert!(p.can_fit(Time(0), 4, 100)); // exactly up to the dip
+    }
+
+    #[test]
+    fn free_span_reports_the_distance_to_the_first_dip() {
+        let mut p = Profile::flat(Time(0), 16, 16);
+        p.commit(Time(100), Time(200), 16).unwrap();
+        assert_eq!(p.free_span(Time(0), 4), Some(100));
+        assert_eq!(p.free_span(Time(40), 16), Some(60));
+        // A dip at `start` itself: nothing fits, whatever the duration.
+        assert_eq!(p.free_span(Time(100), 1), None);
+        assert_eq!(p.free_span(Time(150), 4), None);
+        assert!(!p.can_fit(Time(150), 4, 0));
+        // No dip ahead: every duration fits.
+        assert_eq!(p.free_span(Time(200), 16), Some(u64::MAX));
+        assert!(p.can_fit(Time(200), 16, u64::MAX));
+        // Zero cpus never dip; more than the machine always does.
+        assert_eq!(p.free_span(Time(150), 0), Some(u64::MAX));
+        assert_eq!(p.free_span(Time(0), 17), None);
+        // Clamped to the origin like every other query.
+        let q = sample(); // origin 100, 2 free until 200
+        assert_eq!(q.free_span(Time(50), 2), Some(u64::MAX));
+        assert_eq!(q.free_span(Time(50), 3), None);
+        assert_eq!(q.free_span(Time(150), 5), None);
+        assert_eq!(q.free_span(Time(200), 5), Some(u64::MAX));
     }
 
     /// Brute-force oracle for [`Profile::min_available`]: availability

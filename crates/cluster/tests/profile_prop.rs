@@ -111,8 +111,9 @@ proptest! {
 
     /// Random commit / `release_over` / `advance_origin` sequences: after
     /// every step the profile agrees with an independent model (the built
-    /// profile plus the log of live windows) at every breakpoint, and both
-    /// queries agree with brute-force oracles over the model's breakpoints.
+    /// profile plus the log of live windows) at every breakpoint, both
+    /// queries agree with brute-force oracles over the model's breakpoints,
+    /// and one `free_span` answers `can_fit` for every probed duration.
     #[test]
     fn mutation_sequences_match_brute_force_model(
         p in arb_profile(),
@@ -167,6 +168,11 @@ proptest! {
                             p.earliest_fit(cpus, d, t),
                             model.brute_fit(&points, cpus, d, t),
                             "earliest_fit cpus={} dur={} not_before={:?}", cpus, d, t
+                        );
+                        prop_assert_eq!(
+                            p.free_span(t, cpus).is_some_and(|span| d <= span),
+                            p.can_fit(t, cpus, d),
+                            "free_span cpus={} dur={} start={:?}", cpus, d, t
                         );
                     }
                 }

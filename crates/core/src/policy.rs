@@ -184,13 +184,14 @@ impl FrequencyPolicy for BsldThresholdPolicy {
     }
 
     fn pass_elision_safe(&self) -> bool {
-        // With no queue limit, `head_gear` depends only on the job and the
-        // reservation start, and `backfill_gear` is monotone: predicted
-        // BSLD grows with wait, so a declined job stays declined until a
-        // completion improves the profile. A `WQ_threshold` limit breaks
-        // both properties (a deepening queue flips decisions to the top
-        // gear), so it must take the full re-scheduling path.
-        matches!(self.cfg.wq_threshold, WqThreshold::NoLimit)
+        // Safe for every `WQ_threshold`. `head_gear` reads `wq_others` but
+        // not `now`, which the contract allows: the engine re-asks it when
+        // the queue depth changes. Whether `backfill_gear` declines does
+        // not depend on `wq_others`: both branches decline exactly when the
+        // top gear fails, because the top gear has the lowest predicted
+        // BSLD and the shortest window. A decline therefore persists while
+        // the wait grows and the profile only weakens.
+        true
     }
 }
 

@@ -3,7 +3,11 @@
 //! # Scheduling semantics
 //!
 //! On every event (job arrival or completion) the engine runs a scheduling
-//! pass:
+//! pass. Arrivals are read in order from the (arrival-sorted) job slice
+//! through a cursor rather than from the event queue, which holds only
+//! completions and power-hook wake-ups; at equal times the arrival goes
+//! first, so every arrival at an instant is handled, one per event, before
+//! anything else at that instant. The pass:
 //!
 //! 1. **Start head jobs.** While the head of the wait queue fits on the
 //!    currently free processors it starts immediately (First Fit processor
@@ -43,15 +47,18 @@
 //!   running jobs and the reservation only, so every EASY run keeps it,
 //!   whatever the policy, hook or boost;
 //! * **pass skipping** for arrival and power-retry events that provably
-//!   cannot change the schedule, and **batching** of same-instant arrivals
-//!   (via the event queue's peek) into a single pass when no hook is
-//!   attached.
+//!   cannot change the schedule. Same-instant arrivals are *not* batched
+//!   into one pass: each gets its own event, so each is offered to
+//!   backfilling at the queue depth a full pass would show it — a batch
+//!   would show the first arrivals a deeper queue, which a wait-queue gate
+//!   can observe.
 //!
 //! A full rebuild only happens when the cache is genuinely invalidated: a
 //! running job's *requested* end has been reached without its completion
-//! event (same-instant ordering), a mid-run re-time (boost), a reservation
-//! that starts "now" (contiguous-selection fragmentation or a deferred
-//! head), or a queue that drained.
+//! event (same-instant ordering) and the profile was not already rebuilt
+//! at this instant, a mid-run re-time (boost), a reservation that starts
+//! "now" (contiguous-selection fragmentation or a deferred head), or a
+//! queue that drained.
 //!
 //! ## Pass-skip conditions
 //!
@@ -64,16 +71,24 @@
 //! the [`PowerHook`], if any, has not turned down a start since the last
 //! full pass (the **veto rule**: a deferral, or an admission whose gear
 //! no longer fits or could not be allocated, forces every later event
-//! onto the full pass until a full pass clears it); and each arriving job
-//! either needs more processors than are free or is declined by
-//! `backfill_gear` against the cached committed profile (a job it accepts
-//! is offered to the hook and started, exactly as in a full pass). Under
-//! the elision-safety contract every *older* queued job keeps failing too
-//! (its wait only grew and the profile only weakened), and under the veto
+//! onto the full pass until a full pass clears it); the **head gear is
+//! unchanged** (when the queue depth differs from the one the cached
+//! reservation was priced at, `head_gear` is asked again at the new depth
+//! and the same start — the start cannot have moved — and a different
+//! gear takes the full pass, which re-derives the reservation. Only the
+//! reservation's end depends on that gear, and the end cannot change a
+//! decision to start a job now, because the availability of running jobs
+//! never dips after `now`; so this keeps the cached reservation equal to
+//! the one a full pass would commit, which a debug-build check asserts,
+//! rather than guarding outcomes directly); and the
+//! arriving job either needs more processors than are free or is declined
+//! by `backfill_gear` against the cached committed profile (a job it
+//! accepts is offered to the hook and started, exactly as in a full pass).
+//! Under the elision-safety contract every *older* queued job keeps
+//! failing too (its wait only grew, the profile only weakened, and whether
+//! it is declined does not depend on the queue depth), and under the veto
 //! rule none of them is waiting on the hook, so outcomes — and the hook's
 //! sequence of calls — are bit-identical to the full re-scheduling engine.
-//! A hook keeps one pass per event (no batching), so it sees the same
-//! `on_time` and `admit_start` calls either way.
 //! `EngineConfig { incremental: false, .. }` keeps the always-rebuild path
 //! as an A/B oracle, and [`SimResult::stats`] exposes rebuild/skip counters.
 //!
@@ -217,8 +232,8 @@ impl std::error::Error for SimError {}
 ///
 /// Counter semantics: every *executed* pass increments `passes`; a pass
 /// that rebuilt the availability profile from the running-jobs index also
-/// increments `profile_rebuilds`; an event (or same-instant arrival batch)
-/// whose pass was proven a no-op and skipped outright increments
+/// increments `profile_rebuilds`; an event whose pass was proven a no-op
+/// and skipped outright increments
 /// `passes_skipped` and nothing else. With
 /// [`EngineConfig::incremental`]` = false`, `passes_skipped` stays 0 and
 /// every pass that reaches the reservation step rebuilds.
@@ -252,6 +267,9 @@ impl SimResult {
     }
 }
 
+/// What the event loop handles. Only `Finish` and `PowerRetry` are ever
+/// pushed into the event queue; arrivals are read in order from `jobs`
+/// through the arrival cursor (see [`Simulation::next_event`]).
 enum Event {
     Arrive(JobId),
     Finish(JobId, u32),
@@ -286,12 +304,15 @@ struct RunningJob {
 
 /// The cached head-of-queue reservation (see the module docs): the window
 /// committed into the live profile, remembered so later passes can release
-/// and re-derive it in place.
+/// and re-derive it in place, plus the gear the policy chose for it and
+/// the queue depth (`wq_others`) it chose that gear at.
 #[derive(Debug, Clone, Copy)]
 struct HeadReservation {
     head: JobId,
     start: Time,
     end: Time,
+    gear: GearId,
+    depth: usize,
 }
 
 /// An in-flight simulation. Use [`simulate`] unless you need stepping.
@@ -306,6 +327,9 @@ pub struct Simulation<'a, P: FrequencyPolicy + ?Sized> {
     now: Time,
     /// The latest power-retry instant already scheduled (dedup guard).
     pending_retry: Option<Time>,
+    /// Index into `jobs` of the next arrival to deliver.
+    next_arrival: usize,
+    /// Completions and power retries; arrivals never enter it.
     events: EventQueue<Event>,
     pool: ProcessorPool,
     queue: VecDeque<JobId>,
@@ -320,6 +344,8 @@ pub struct Simulation<'a, P: FrequencyPolicy + ?Sized> {
     /// The reservation currently committed into `profile`, if the cache is
     /// live.
     cache: Option<HeadReservation>,
+    /// The instant of the last profile rebuild.
+    rebuilt_at: Time,
     /// `(expected_end, cpus)` of the job completed by the current event,
     /// consumed by the next pass's in-place profile update.
     last_completion: Option<(Time, u32)>,
@@ -392,10 +418,6 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
                 });
             }
         }
-        let mut events = EventQueue::with_capacity(jobs.len() * 2);
-        for job in jobs {
-            events.push(job.arrival, Event::Arrive(job.id));
-        }
         // The in-place profile depends only on running jobs and the
         // reservation, so every incremental EASY run may keep it. Skipping
         // a pass is only provably outcome-preserving with no boost and an
@@ -414,7 +436,8 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
             hook: None,
             now: Time::ZERO,
             pending_retry: None,
-            events,
+            next_arrival: 0,
+            events: EventQueue::new(),
             builder: ProfileBuilder::new(Time::ZERO, pool.total(), pool.total()),
             profile: Profile::flat(Time::ZERO, pool.total(), pool.total()),
             pool,
@@ -422,6 +445,7 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
             running: BTreeMap::new(),
             end_index: BTreeMap::new(),
             cache: None,
+            rebuilt_at: Time::ZERO,
             last_completion: None,
             reuse_profile,
             elide,
@@ -435,8 +459,7 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
 
     /// Attaches a [`PowerHook`] (builder style). The hook observes every
     /// start/completion/gear change and may veto or down-gear decisions.
-    /// Pass elision stays on under the veto rule (see the module docs), but
-    /// same-instant arrivals are no longer batched.
+    /// Pass elision stays on under the veto rule (see the module docs).
     pub fn with_hook(mut self, hook: &'a mut dyn PowerHook) -> Self {
         self.hook = Some(hook);
         self
@@ -445,8 +468,7 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
     /// Drives the event loop to completion.
     pub fn run(mut self) -> Result<SimResult, SimError> {
         let abort = self.cfg.abort.clone();
-        let mut batch: Vec<JobId> = Vec::new();
-        while let Some((t, ev)) = self.events.pop() {
+        while let Some((t, ev)) = self.next_event() {
             // One relaxed load per event — noise next to a scheduling
             // pass — buys prompt, deterministic cancellation: the run
             // never advances past the event at which the flag was seen.
@@ -493,29 +515,7 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
                         job: u64::from(id.0),
                     });
                     if self.elide {
-                        // Batch-peek: workload arrivals are enqueued before
-                        // any completion, so same-instant arrivals are
-                        // delivered back to back; coalesce them into one
-                        // pass (provably identical under elision — see the
-                        // module docs). A hook keeps one pass per event.
-                        batch.clear();
-                        batch.push(id);
-                        while self.hook.is_none()
-                            && matches!(self.events.peek(), Some((t2, Event::Arrive(_))) if t2 == t)
-                        {
-                            match self.events.pop() {
-                                Some((_, Event::Arrive(id2))) => {
-                                    self.queue.push_back(id2);
-                                    self.emit(|| bsld_obs::TraceEvent::JobArrive {
-                                        t: t.as_micros(),
-                                        job: u64::from(id2.0),
-                                    });
-                                    batch.push(id2);
-                                }
-                                _ => unreachable!("peeked arrival must pop"),
-                            }
-                        }
-                        self.pass_after_arrivals(&batch);
+                        self.pass_after_arrival(Some(id));
                     } else {
                         self.schedule_pass();
                     }
@@ -527,9 +527,9 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
                 Event::PowerRetry => {
                     self.emit(|| bsld_obs::TraceEvent::PowerRetry { t: t.as_micros() });
                     if self.elide {
-                        // A wake-up adds no job: the elided path with an
-                        // empty batch.
-                        self.pass_after_arrivals(&[]);
+                        // A wake-up adds no job: the elided path with no
+                        // arrival.
+                        self.pass_after_arrival(None);
                     } else {
                         self.schedule_pass();
                     }
@@ -560,6 +560,20 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
             makespan,
             stats: self.stats,
         })
+    }
+
+    /// The next event to handle: the next arrival when it is due no later
+    /// than the earliest queued event, else that queued event. Ties go to
+    /// the arrival, so every arrival at an instant is handled before any
+    /// completion or power retry at that instant.
+    fn next_event(&mut self) -> Option<(Time, Event)> {
+        if let Some(job) = self.jobs.get(self.next_arrival) {
+            if self.events.peek_time().is_none_or(|t| job.arrival <= t) {
+                self.next_arrival += 1;
+                return Some((job.arrival, Event::Arrive(job.id)));
+            }
+        }
+        self.events.pop()
     }
 
     /// The job record for `id`. Returns the `'a` workload lifetime (not
@@ -779,17 +793,20 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
     /// (a reservation "now" — contiguous-selection fragmentation — must be
     /// re-derived because it would drift as time advances), and no running
     /// job's requested end has been reached (such a release would need to
-    /// be pushed to `now + 1`, which only a rebuild does).
+    /// be pushed to `now + 1`, which only a rebuild does) unless the
+    /// profile was rebuilt at this very instant and so already holds it
+    /// there.
     fn cache_usable(&self) -> bool {
         match &self.cache {
             None => false,
             Some(c) => {
                 c.start > self.now
-                    && self
-                        .end_index
-                        .keys()
-                        .next()
-                        .is_none_or(|&first| first > self.now)
+                    && (self.rebuilt_at == self.now
+                        || self
+                            .end_index
+                            .keys()
+                            .next()
+                            .is_none_or(|&first| first > self.now))
             }
         }
     }
@@ -798,6 +815,7 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
     /// index into the reusable buffer.
     fn rebuild_profile(&mut self) {
         self.stats.profile_rebuilds += 1;
+        self.rebuilt_at = self.now;
         self.builder
             .reset(self.now, self.pool.total(), self.pool.free_count());
         // A job whose expected end is at or before `now` is still
@@ -829,14 +847,14 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
         debug_assert_eq!(next, started.len(), "every started job was queued");
     }
 
-    /// Handles a batch of same-instant arrivals (empty for a power-retry
-    /// wake-up) under pass elision: skip the pass when provably a no-op,
-    /// evaluate only the new jobs against the cached committed profile when
-    /// possible, and fall back to a full pass otherwise. See the module
-    /// docs for the safety argument.
-    fn pass_after_arrivals(&mut self, batch: &[JobId]) {
+    /// Handles one arrival (`None` for a power-retry wake-up) under pass
+    /// elision: skip the pass when provably a no-op, evaluate only the new
+    /// job against the cached committed profile when possible, and fall
+    /// back to a full pass otherwise. See the module docs for the safety
+    /// argument.
+    fn pass_after_arrival(&mut self, arrival: Option<JobId>) {
         debug_assert!(self.elide);
-        let prev_len = self.queue.len() - batch.len();
+        let prev_len = self.queue.len() - usize::from(arrival.is_some());
         if prev_len == 0 || self.hook_vetoed {
             // The new head may be able to start immediately, or the hook
             // turned down a start it must be asked about again: full pass
@@ -859,58 +877,70 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
             });
             return;
         }
-        if !self.cache_usable() {
+        let Some(mut cache) = self.cache.filter(|_| self.cache_usable()) else {
             self.schedule_pass();
             return;
-        }
+        };
         debug_assert_eq!(
-            self.cache.map(|c| c.head),
+            Some(cache.head),
             self.queue.front().copied(),
             "live cache must describe the current head"
         );
+        // A full pass would price the reservation at the current queue
+        // depth. The start cannot have moved, so the window is unchanged
+        // iff the head's gear is; a different gear takes the full pass.
+        let depth = self.queue.len() - 1;
+        if depth != cache.depth {
+            let head = self.job(cache.head);
+            let gear = self.policy.head_gear(&self.ctx(head, depth), cache.start);
+            if gear != cache.gear {
+                self.schedule_pass();
+                return;
+            }
+            cache.depth = depth;
+            self.cache = Some(cache);
+        }
         self.profile.advance_origin(self.now);
-        // Evaluate only the new arrivals; every older candidate failed
+        // Evaluate only the new arrival; every older candidate failed
         // against a profile that was no stronger and a wait that was no
         // longer, so by the elision-safety contract it keeps failing.
-        let mut started = std::mem::take(&mut self.scratch_started);
-        started.clear();
-        for &id in batch {
-            let wq_others = self.queue.len() - 1 - started.len();
-            if self.try_backfill(id, wq_others) {
-                started.push(id);
-            }
-        }
-        if started.is_empty() {
-            self.stats.passes_skipped += 1;
-            self.emit(|| bsld_obs::TraceEvent::Pass {
-                t: self.now.as_micros(),
-                pass: self.stats.passes + self.stats.passes_skipped,
-                started: 0,
-                rebuilt: false,
-                elided: true,
-            });
-        } else {
+        let started = arrival.filter(|&id| self.try_backfill(id, depth));
+        self.debug_check_profile();
+        if let Some(id) = started {
             self.stats.passes += 1;
-            self.remove_started(&started);
-            self.debug_check_profile();
-            self.emit(|| bsld_obs::TraceEvent::Pass {
-                t: self.now.as_micros(),
-                pass: self.stats.passes + self.stats.passes_skipped,
-                started: started.len() as u64,
-                rebuilt: false,
-                elided: false,
-            });
+            // The arrival was the last job queued.
+            debug_assert_eq!(self.queue.back(), Some(&id));
+            self.queue.pop_back();
+        } else {
+            self.stats.passes_skipped += 1;
         }
-        started.clear();
-        self.scratch_started = started;
+        self.emit(|| bsld_obs::TraceEvent::Pass {
+            t: self.now.as_micros(),
+            pass: self.stats.passes + self.stats.passes_skipped,
+            started: u64::from(started.is_some()),
+            rebuilt: false,
+            elided: started.is_none(),
+        });
     }
 
-    /// Debug-build parity check: the incrementally maintained committed
-    /// profile must be extensionally equal (for `t >= now`) to a fresh
-    /// rebuild plus the cached reservation.
+    /// Debug-build parity check: the cached reservation must be the one a
+    /// full pass would commit at the queue depth it records, and the
+    /// incrementally maintained committed profile must be extensionally
+    /// equal (for `t >= now`) to a fresh rebuild plus that reservation.
     #[cfg(debug_assertions)]
     fn debug_check_profile(&self) {
         let Some(c) = &self.cache else { return };
+        let head = self.job(c.head);
+        let gear = self.policy.head_gear(&self.ctx(head, c.depth), c.start);
+        let end = c
+            .start
+            .saturating_add(self.time_model.dilate(head.requested, head.beta, gear));
+        debug_assert_eq!(
+            (gear, end),
+            (c.gear, c.end),
+            "stale cached reservation at depth {}",
+            c.depth
+        );
         let mut b = ProfileBuilder::new(self.now, self.pool.total(), self.pool.free_count());
         let floor = self.now + 1;
         for (&t, &cpus) in &self.end_index {
@@ -1067,6 +1097,8 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
                 head,
                 start: res_start,
                 end: res_end,
+                gear: res_gear,
+                depth: wq_others,
             });
         }
 
@@ -1112,9 +1144,13 @@ impl<'a, P: FrequencyPolicy + ?Sized> Simulation<'a, P> {
             let tm = self.time_model;
             let now = self.now;
             let profile_ref = &self.profile;
+            // One profile query per candidate, made on the first ask: how
+            // long the job's processors stay free from now. Each gear then
+            // fits iff its dilated runtime is no longer than that span.
+            let mut span = None;
             let mut fits = |gear: GearId| {
-                let dur = tm.dilate(job.requested, job.beta, gear);
-                profile_ref.can_fit(now, job.cpus, dur)
+                let span = *span.get_or_insert_with(|| profile_ref.free_span(now, job.cpus));
+                span.is_some_and(|span| tm.dilate(job.requested, job.beta, gear) <= span)
             };
             self.policy.backfill_gear(&ctx, &mut fits)
         };

@@ -92,26 +92,27 @@ pub trait FrequencyPolicy {
         }
     }
 
-    /// Whether the engine may *elide* provably no-op scheduling passes and
-    /// reuse a cached head reservation under this policy (the incremental
-    /// hot path). Defaults to `false` — opting in is a promise about the
-    /// policy's decision structure:
+    /// Whether the engine may *elide* provably no-op scheduling passes
+    /// under this policy (the incremental hot path; see the engine's
+    /// "Pass-skip conditions"). Defaults to `false` — opting in is a promise
+    /// about the policy's decision structure:
     ///
-    /// 1. [`FrequencyPolicy::head_gear`] depends only on the job and the
-    ///    proposed start time — not on `ctx.now` or `ctx.wq_others` — so a
-    ///    cached reservation stays correct while the availability profile
-    ///    is unchanged;
-    /// 2. [`FrequencyPolicy::backfill_gear`] is *monotone*: once it returns
-    ///    `None` for a job, it keeps returning `None` when the job's wait
-    ///    grows, the wait queue deepens, or the `fits` oracle weakens
-    ///    pointwise (fewer gears fit). Under that property a candidate that
-    ///    failed to backfill cannot start until a completion changes the
-    ///    profile, so arrival events that add non-starting jobs need no
-    ///    full pass.
+    /// 1. [`FrequencyPolicy::head_gear`] depends only on the job, the
+    ///    proposed start time and `ctx.wq_others` — never on `ctx.now`.
+    ///    The engine keeps a cached reservation while the availability
+    ///    profile is unchanged and re-asks `head_gear` whenever the queue
+    ///    depth differs from the one the reservation was priced at; a
+    ///    different gear sends the event through the full pass.
+    /// 2. *Whether* [`FrequencyPolicy::backfill_gear`] declines must not
+    ///    depend on `ctx.wq_others` (the gear it picks may), and a decline
+    ///    must persist while the job's wait grows and the `fits` oracle
+    ///    weakens pointwise (fewer gears fit). Under that property a
+    ///    candidate that failed to backfill cannot start until a
+    ///    completion changes the profile, so an event that adds a
+    ///    non-starting job needs no full pass.
     ///
-    /// Policies that use `wq_others` as a *gate that can re-enable lower
-    /// gears* (e.g. a `WQ_threshold` limit flipping the head gear to top)
-    /// must return `false`.
+    /// A policy whose wait-queue gate can turn a decline into a start (or
+    /// back) must return `false`.
     fn pass_elision_safe(&self) -> bool {
         false
     }
@@ -158,7 +159,7 @@ impl FrequencyPolicy for FixedGearPolicy {
 
     fn pass_elision_safe(&self) -> bool {
         // The gear is constant and backfilling only asks `fits(gear)`:
-        // trivially start-time-pure and monotone.
+        // trivially independent of `now` and the queue depth, and monotone.
         true
     }
 }

@@ -82,17 +82,6 @@ impl<E> EventQueue<E> {
         self.heap.first().map(|&(key, _)| unpack_time(key))
     }
 
-    /// The earliest pending event (time and payload) without removing it.
-    ///
-    /// Together with [`EventQueue::pop`] this supports *batch peeking*: a
-    /// consumer can inspect whether the next event shares the instant (and
-    /// kind) of the one it just popped and coalesce per-instant work — the
-    /// simulator uses it to batch same-instant job arrivals into a single
-    /// scheduling pass.
-    pub fn peek(&self) -> Option<(Time, &E)> {
-        self.heap.first().map(|(key, e)| (unpack_time(*key), e))
-    }
-
     /// Number of pending events.
     pub fn len(&self) -> usize {
         self.heap.len()
@@ -181,36 +170,6 @@ mod tests {
         // 2 was pushed before 3, so it still comes first.
         assert_eq!(q.pop(), Some((Time(10), 2)));
         assert_eq!(q.pop(), Some((Time(10), 3)));
-    }
-
-    #[test]
-    fn peek_exposes_payload_without_removal() {
-        let mut q = EventQueue::new();
-        q.push(Time(7), "b");
-        q.push(Time(3), "a");
-        assert_eq!(q.peek(), Some((Time(3), &"a")));
-        assert_eq!(q.len(), 2, "peek must not remove");
-        assert_eq!(q.pop(), Some((Time(3), "a")));
-        assert_eq!(q.peek(), Some((Time(7), &"b")));
-    }
-
-    #[test]
-    fn peek_supports_instant_batch_draining() {
-        // The simulator's batching idiom: pop an event, then drain every
-        // same-instant successor via peek.
-        let mut q = EventQueue::new();
-        q.push(Time(10), 1);
-        q.push(Time(5), 2);
-        q.push(Time(5), 3);
-        q.push(Time(20), 4);
-        let (t, first) = q.pop().unwrap();
-        let mut batch = vec![first];
-        while q.peek_time() == Some(t) {
-            batch.push(q.pop().unwrap().1);
-        }
-        assert_eq!((t, batch), (Time(5), vec![2, 3]));
-        assert_eq!(q.pop(), Some((Time(10), 1)));
-        assert_eq!(q.peek(), Some((Time(20), &4)));
     }
 
     #[test]

@@ -152,8 +152,34 @@ fn saturated_load_halves_profile_rebuilds() {
     );
 }
 
-/// The two policies the capped A/B runs under: the elision-safe 2/NO and
-/// the WQ-limited 2/WQ4 (in-place profile reuse without pass skipping).
+#[test]
+fn same_instant_bursts_under_wq_gates_bit_identical() {
+    // Bursts of four same-instant arrivals under wait-queue gates: each
+    // arrival must be offered to backfilling at the queue depth the full
+    // re-scan shows it. Batching a burst into one pass would show the
+    // first arrivals a deeper queue and flip their gear (or their start).
+    let jobs = saturated_workload(600);
+    let sim = Simulator::paper_default("saturated", 32);
+    let oracle = sim.clone().with_full_rescan();
+    for (bsld_threshold, wq) in [(2.0, 0), (2.0, 4), (1.5, 16)] {
+        let cfg = PowerAwareConfig {
+            bsld_threshold,
+            wq_threshold: WqThreshold::Limit(wq),
+        };
+        let a = sim.run_power_aware(&jobs, &cfg).unwrap();
+        let b = oracle.run_power_aware(&jobs, &cfg).unwrap();
+        assert_eq!(a.outcomes, b.outcomes, "diverged at {}", cfg.label());
+        assert!(
+            a.pass_stats.passes_skipped > 0,
+            "{}: no elision",
+            cfg.label()
+        );
+        assert_eq!(b.pass_stats.passes_skipped, 0);
+    }
+}
+
+/// The two policies the capped A/B runs under: 2/NO and the WQ-limited
+/// 2/WQ4, whose skipped passes also re-check the head's gear.
 fn capped_policies() -> [PowerAwareConfig; 2] {
     [WqThreshold::NoLimit, WqThreshold::Limit(4)].map(|wq| PowerAwareConfig {
         bsld_threshold: 2.0,
@@ -247,11 +273,14 @@ fn pass_counters_are_pinned_on_a_small_fixture() {
         profile_rebuilds,
         passes_skipped,
     };
-    // Same-instant arrival bursts of four are batched into one pass.
-    assert_eq!(baseline, stats(404, 1, 96), "baseline");
-    // Not elision-safe: one pass per event, but the profile is reused.
-    assert_eq!(wq, stats(800, 1, 0), "2/WQ4");
-    // A hook keeps one pass per event; arrivals and power retries the
-    // hook has no pending veto for are skipped.
+    // One event per arrival, even within a same-instant burst of four;
+    // an arrival that cannot start behind a blocked head is skipped.
+    assert_eq!(baseline, stats(410, 1, 390), "baseline");
+    // The WQ gate is elision-safe too: an arrival that changes the queue
+    // depth re-asks the head's gear and takes the full pass only when it
+    // changes.
+    assert_eq!(wq, stats(411, 1, 389), "2/WQ4");
+    // Arrivals and power retries the hook has no pending veto for are
+    // skipped.
     assert_eq!(cap, stats(429, 38, 824), "capped 2/NO");
 }
