@@ -7,8 +7,8 @@
 //! `cargo bench -p bsld-bench --bench powercap_sweep`.
 
 use bsld_bench::{workload, BENCH_JOBS};
-use bsld_core::{PowerAwareConfig, PowerCapConfig, Simulator, WqThreshold};
-use bsld_powercap::SleepConfig;
+use bsld_core::scenario::{PolicySpec, PowerSpec, SleepSpec};
+use bsld_core::{Simulator, WqThreshold};
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
@@ -18,27 +18,33 @@ fn bench(c: &mut Criterion) {
     let w = workload("SDSCBlue", BENCH_JOBS);
     let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
 
-    let cases: [(&str, PowerCapConfig); 3] = [
-        ("observe_only", PowerCapConfig::observe_only()),
-        (
-            "sleep_states",
-            PowerCapConfig::observe_only().with_sleep(SleepConfig::paper_default()),
-        ),
-        (
-            "hard_cap_dvfs",
-            PowerCapConfig::hard(0.6)
-                .with_sleep(SleepConfig::paper_default())
-                .with_policy(PowerAwareConfig {
-                    bsld_threshold: 2.0,
-                    wq_threshold: WqThreshold::NoLimit,
-                }),
-        ),
+    let observe = PowerSpec {
+        observe: true,
+        ..PowerSpec::off()
+    };
+    let sleep = PowerSpec {
+        sleep: SleepSpec::Paper,
+        ..observe.clone()
+    };
+    let cap = PowerSpec {
+        cap_fraction: Some(0.6),
+        ..sleep.clone()
+    };
+    let dvfs = PolicySpec::BsldThreshold {
+        th: 2.0,
+        wq: WqThreshold::NoLimit,
+    };
+    let cases = [
+        ("observe_only", PolicySpec::Baseline, observe),
+        ("sleep_states", PolicySpec::Baseline, sleep),
+        ("hard_cap_dvfs", dvfs, cap),
     ];
-    for (name, cfg) in cases {
+    for (name, policy, power) in cases {
         g.bench_function(name, |b| {
             b.iter(|| {
-                let r = sim.run_power_capped(black_box(&w.jobs), &cfg).unwrap();
-                black_box((r.power.energy, r.run.metrics.avg_bsld))
+                let r = sim.run(black_box(&w.jobs), &policy, &power).unwrap();
+                let energy = r.power.map(|p| p.energy);
+                black_box((energy, r.run.metrics.avg_bsld))
             })
         });
     }

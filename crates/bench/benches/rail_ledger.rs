@@ -10,7 +10,8 @@
 
 use bsld_bench::{workload, BENCH_JOBS};
 use bsld_cluster::GearSet;
-use bsld_core::{PowerCapConfig, Simulator};
+use bsld_core::scenario::{PolicySpec, PowerSpec};
+use bsld_core::Simulator;
 use bsld_model::GearId;
 use bsld_power::{Constant, Cubic, Linear, PaperDvfs, PowerModel, Rail, RailKind, RailSet};
 use bsld_powercap::PowerLedger;
@@ -114,11 +115,15 @@ fn bench(c: &mut Criterion) {
     let w = workload("SDSCBlue", BENCH_JOBS);
     let mut sim = Simulator::paper_default(&w.cluster_name, w.cpus);
     sim.power = three_rail(Box::new(PaperDvfs::paper(gears.clone())));
-    let cfg = PowerCapConfig::observe_only();
+    let observe = PowerSpec {
+        observe: true,
+        ..PowerSpec::off()
+    };
     g.bench_function("observe_three_rails", |b| {
         b.iter(|| {
-            let r = sim.run_power_capped(black_box(&w.jobs), &cfg).unwrap();
-            black_box((r.power.energy, r.power.rails.len()))
+            let r = sim.run(black_box(&w.jobs), &PolicySpec::Baseline, &observe);
+            let power = r.unwrap().power.unwrap();
+            black_box((power.energy, power.rails.len()))
         })
     });
     g.finish();

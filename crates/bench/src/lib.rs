@@ -8,6 +8,7 @@
 #![forbid(unsafe_code)]
 
 use bsld_core::experiments::ExpOptions;
+use bsld_core::scenario::{PolicySpec, PowerSpec};
 use bsld_core::{PowerAwareConfig, Simulator};
 use bsld_metrics::RunMetrics;
 use bsld_workload::profiles::TraceProfile;
@@ -53,5 +54,8 @@ pub fn run_policy(w: &Workload, cfg: &PowerAwareConfig, enlarged_pct: u32) -> Ru
     } else {
         sim
     };
-    sim.run_power_aware(&w.jobs, cfg).expect("fits").metrics
+    sim.run(&w.jobs, &PolicySpec::from(*cfg), &PowerSpec::off())
+        .expect("fits")
+        .run
+        .metrics
 }

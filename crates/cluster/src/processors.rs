@@ -81,23 +81,6 @@ impl ProcSet {
             .is_ok()
     }
 
-    /// Whether the two sets share any processor.
-    pub fn intersects(&self, other: &ProcSet) -> bool {
-        let (mut i, mut j) = (0, 0);
-        while i < self.ranges.len() && j < other.ranges.len() {
-            let (s1, l1) = self.ranges[i];
-            let (s2, l2) = other.ranges[j];
-            if s1 + l1 <= s2 {
-                i += 1;
-            } else if s2 + l2 <= s1 {
-                j += 1;
-            } else {
-                return true;
-            }
-        }
-        false
-    }
-
     /// The smallest index in the set, if any.
     pub fn first(&self) -> Option<u32> {
         self.ranges.first().map(|&(s, _)| s)
@@ -161,12 +144,6 @@ impl ProcessorPool {
     #[inline]
     pub fn free_count(&self) -> u32 {
         self.free
-    }
-
-    /// Currently busy processor count.
-    #[inline]
-    pub fn busy_count(&self) -> u32 {
-        self.total - self.free
     }
 
     /// Whether processor `idx` is free.
@@ -384,23 +361,6 @@ mod tests {
     }
 
     #[test]
-    fn procset_intersects() {
-        let a = ProcSet {
-            ranges: vec![(0, 4)],
-        };
-        let b = ProcSet {
-            ranges: vec![(4, 4)],
-        };
-        let c = ProcSet {
-            ranges: vec![(3, 1)],
-        };
-        assert!(!a.intersects(&b));
-        assert!(a.intersects(&c));
-        assert!(!b.intersects(&c));
-        assert!(!a.intersects(&ProcSet::new()));
-    }
-
-    #[test]
     fn pool_first_fit_takes_lowest() {
         let mut p = ProcessorPool::new(10);
         let a = p.allocate_first_fit(4).unwrap();
@@ -560,7 +520,7 @@ mod tests {
                 if let Some(s) = p.allocate_first_fit(n) {
                     // No overlap with anything currently held.
                     for h in &held {
-                        assert!(!h.intersects(&s));
+                        assert!(s.iter().all(|i| !h.contains(i)));
                     }
                     held.push(s);
                 }

@@ -55,6 +55,7 @@ use bsld_par::Progress;
 use bsld_simkernel::rng::derive_seed;
 use bsld_simkernel::stats::OnlineStats;
 
+use crate::report::CellOutcome;
 use crate::scenario::{Scenario, ScenarioError, ScenarioResult, ScenarioSet, WorkloadSpec};
 
 /// File name of the per-replication manifest inside the campaign
@@ -280,39 +281,11 @@ impl Campaign {
     }
 }
 
-/// The per-replication metrics of a successful unit.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RepMetrics {
-    /// Jobs completed.
-    pub jobs: u64,
-    /// Average BSLD.
-    pub avg_bsld: f64,
-    /// Average wait, seconds.
-    pub avg_wait_s: f64,
-    /// Jobs run at a reduced gear.
-    pub reduced_jobs: u64,
-    /// Computational energy (normalised units).
-    pub energy_comp: f64,
-    /// Energy including idle draw (normalised units).
-    pub energy_idle: f64,
-    /// Ledger energy integral (power-instrumented runs only).
-    pub energy_ledger: Option<f64>,
-    /// `peak / budget` (capped runs only).
-    pub peak_over_budget: Option<f64>,
-    /// CPU-rail ledger energy (multi-rail runs only — a scenario with an
-    /// explicit `model =`; single-rail runs report `-`).
-    pub energy_cpu: Option<f64>,
-    /// Memory-rail ledger energy (multi-rail runs only).
-    pub energy_mem: Option<f64>,
-    /// Interconnect-rail ledger energy (multi-rail runs only).
-    pub energy_net: Option<f64>,
-}
-
 /// How one `(cell, replication)` unit ended.
 #[derive(Debug, Clone, PartialEq)]
 pub enum RepOutcome {
-    /// The unit completed; its metrics feed the per-cell aggregate.
-    Ok(RepMetrics),
+    /// The unit completed; its summary feeds the per-cell aggregate.
+    Ok(CellOutcome),
     /// The unit failed — an infeasible cap, or its wall-time budget
     /// expired. Failed units are persisted like completed ones, so a
     /// resumed or sharded campaign does not re-burn wall-clock on a unit
@@ -404,7 +377,7 @@ impl RepRow {
     ];
 
     /// The metrics of a completed row (`None` for failed rows).
-    pub fn metrics(&self) -> Option<&RepMetrics> {
+    pub fn metrics(&self) -> Option<&CellOutcome> {
         match &self.outcome {
             RepOutcome::Ok(m) => Some(m),
             RepOutcome::Failed { .. } => None,
@@ -413,40 +386,12 @@ impl RepRow {
 
     /// Builds the row for one successfully finished unit.
     pub fn from_result(cell: &CampaignCell, unit: &CampaignUnit, res: &ScenarioResult) -> RepRow {
-        let m = &res.run.metrics;
-        // Per-rail energy only exists on the multi-rail layout (an
-        // explicit `model =`); the single-rail default reports `-`, so
-        // rows of pre-existing campaigns keep their exact field values.
-        let rail = |kind: bsld_power::RailKind| -> Option<f64> {
-            res.power
-                .as_ref()
-                .filter(|p| p.rails.len() > 1)
-                .and_then(|p| p.rails.iter().find(|r| r.kind == kind))
-                .map(|r| r.energy)
-        };
         RepRow {
             cell: cell.id,
             name: cell.scenario.name.clone(),
             rep: unit.rep,
             seed: unit_seed(unit),
-            outcome: RepOutcome::Ok(RepMetrics {
-                // audit:allow(N2): usize -> u64 is a widening on every supported target
-                jobs: m.jobs as u64,
-                avg_bsld: m.avg_bsld,
-                avg_wait_s: m.avg_wait_secs,
-                // audit:allow(N2): usize -> u64 is a widening on every supported target
-                reduced_jobs: m.reduced_jobs as u64,
-                energy_comp: m.energy.computational,
-                energy_idle: m.energy.with_idle,
-                energy_ledger: res.power.as_ref().map(|p| p.energy),
-                peak_over_budget: res
-                    .power
-                    .as_ref()
-                    .and_then(|p| p.budget.filter(|b| *b > 0.0).map(|b| p.peak / b)),
-                energy_cpu: rail(bsld_power::RailKind::Cpu),
-                energy_mem: rail(bsld_power::RailKind::Memory),
-                energy_net: rail(bsld_power::RailKind::Interconnect),
-            }),
+            outcome: RepOutcome::Ok(CellOutcome::of(res)),
             elapsed_s: None,
             parse_s: None,
             build_s: None,
@@ -542,7 +487,7 @@ impl RepRow {
             }
         };
         let outcome = match f[4].as_str() {
-            "ok" => RepOutcome::Ok(RepMetrics {
+            "ok" => RepOutcome::Ok(CellOutcome {
                 jobs: f[6].parse().ok()?,
                 avg_bsld: f[7].parse().ok()?,
                 avg_wait_s: f[8].parse().ok()?,
@@ -633,8 +578,8 @@ fn mean_ci(values: impl Iterator<Item = f64>) -> MeanCi {
     MeanCi::new(s.mean(), s.ci95_half(), s.count())
 }
 
-fn summarize_cell(cell: &CampaignCell, rows: &[&RepMetrics]) -> CellSummary {
-    let all = |f: fn(&RepMetrics) -> Option<f64>| -> Option<MeanCi> {
+fn summarize_cell(cell: &CampaignCell, rows: &[&CellOutcome]) -> CellSummary {
+    let all = |f: fn(&CellOutcome) -> Option<f64>| -> Option<MeanCi> {
         let vals: Option<Vec<f64>> = rows.iter().map(|r| f(r)).collect();
         vals.map(|v| mean_ci(v.into_iter()))
     };
@@ -1045,7 +990,7 @@ pub(crate) fn aggregate_rows(
         .iter()
         .enumerate()
         .filter_map(|(i, cell)| {
-            let metrics: Vec<&RepMetrics> = (0..campaign.replications)
+            let metrics: Vec<&CellOutcome> = (0..campaign.replications)
                 .filter_map(|rep| by_unit.get(&(i, rep)).and_then(RepRow::metrics))
                 .collect();
             (!metrics.is_empty()).then(|| summarize_cell(cell, &metrics))

@@ -8,8 +8,8 @@
 //!   *predicted BSLD* stays under `BSLD_threshold`, and only while no more
 //!   than `WQ_threshold` jobs are waiting;
 //! * [`Simulator`] — a one-stop facade wiring cluster, power model, β time
-//!   model and scheduling engine; used by every example, test and
-//!   experiment;
+//!   model and scheduling engine; its [`Simulator::run`] is the one
+//!   execution path of every example, test and experiment;
 //! * [`scenario`] — the declarative layer on top: a serializable
 //!   [`Scenario`] spec with one `run()`, plus [`ScenarioSet`] sweeps; the
 //!   experiment harness and the CLI construct every run through it;
@@ -45,4 +45,4 @@ pub use distrib::{merge_campaign, run_worker, MergeOutcome, Shard, WorkerOutcome
 pub use policy::{BsldThresholdPolicy, PowerAwareConfig, WqThreshold};
 pub use report::{sweep_report, CellOutcome, SweepReport};
 pub use scenario::{Scenario, ScenarioResult, ScenarioSet};
-pub use sim::{PowerCapConfig, PowerCappedResult, RunResult, Simulator};
+pub use sim::{RunResult, Simulator};

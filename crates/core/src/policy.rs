@@ -95,22 +95,12 @@ impl PowerAwareConfig {
 #[derive(Debug, Clone, Copy)]
 pub struct BsldThresholdPolicy {
     cfg: PowerAwareConfig,
-    short_job_th: u64,
 }
 
 impl BsldThresholdPolicy {
     /// A policy with the paper's 600 s short-job threshold.
     pub fn new(cfg: PowerAwareConfig) -> Self {
-        BsldThresholdPolicy {
-            cfg,
-            short_job_th: BSLD_SHORT_JOB_THRESHOLD_SECS,
-        }
-    }
-
-    /// Overrides the short-job threshold (for sensitivity studies).
-    pub fn with_short_job_threshold(mut self, th: u64) -> Self {
-        self.short_job_th = th;
-        self
+        BsldThresholdPolicy { cfg }
     }
 
     /// The configured parameters.
@@ -121,7 +111,8 @@ impl BsldThresholdPolicy {
     /// Predicted BSLD (Eq. 2) for a job waiting `wait` seconds, at `gear`.
     #[inline]
     fn predict(&self, ctx: &DecisionCtx<'_>, wait: u64, gear: GearId) -> f64 {
-        bsld_predicted(wait, ctx.job.requested, ctx.coef(gear), self.short_job_th)
+        let coef = ctx.coef(gear);
+        bsld_predicted(wait, ctx.job.requested, coef, BSLD_SHORT_JOB_THRESHOLD_SECS)
     }
 }
 
@@ -339,16 +330,5 @@ mod tests {
             "1.5/16"
         );
         assert_eq!(PowerAwareConfig::medium().label(), "2/NO");
-    }
-
-    #[test]
-    fn custom_short_job_threshold() {
-        let tm = BetaModel::new(GearSet::paper());
-        // 60 s job with a 60 s threshold: gear 0 dilation (116 s) gives
-        // pred ≈ 1.94 > 1.5 → a higher gear must win.
-        let job = Job::new(0, Time(0), 1, 60, 60);
-        let p = policy(1.5, WqThreshold::NoLimit).with_short_job_threshold(60);
-        let g = p.head_gear(&ctx(&job, &tm, 0, 0), Time(0));
-        assert!(g > GearId(0), "got {g}");
     }
 }

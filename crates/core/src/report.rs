@@ -7,75 +7,71 @@
 //! it rendered, keyed by content-hash [`CellId`](crate::campaign::CellId)
 //! (which excludes the scenario name): [`CellOutcome`] is the compact,
 //! name-free payload that makes that possible, extracted from a full
-//! [`ScenarioResult`] the moment a run finishes.
+//! [`ScenarioResult`] the moment a run finishes. A campaign manifest row
+//! persists the same summary, one per replication.
 
 use bsld_metrics::TextTable;
 use bsld_power::RailKind;
 
 use crate::scenario::ScenarioResult;
 
-/// The printable outcome of one sweep cell: every number the results
-/// table and `scenario_results.csv` show, decoupled from the full
-/// [`ScenarioResult`] (whose per-job outcome vector is far too large to
-/// keep resident per cache entry).
+/// The compact summary of one finished run: every number the sweep
+/// table, `scenario_results.csv` and a campaign manifest row show,
+/// decoupled from the full [`ScenarioResult`] (whose per-job outcome
+/// vector is far too large to keep resident per cache entry).
 #[derive(Debug, Clone, PartialEq)]
 pub struct CellOutcome {
     /// Jobs completed.
-    pub jobs: usize,
+    pub jobs: u64,
     /// Average BSLD (Eq. 6).
     pub avg_bsld: f64,
     /// Average wait, seconds.
-    pub avg_wait_secs: f64,
+    pub avg_wait_s: f64,
     /// Jobs run at a reduced gear.
-    pub reduced_jobs: usize,
+    pub reduced_jobs: u64,
     /// Computational energy (normalised units).
     pub energy_comp: f64,
     /// Energy including idle draw (normalised units).
     pub energy_idle: f64,
-    /// Ledger summary (power-instrumented runs only).
-    pub power: Option<PowerView>,
-}
-
-/// The slice of a power report the results table uses.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PowerView {
-    /// `∫ P dt` over the run.
-    pub energy: f64,
-    /// Highest draw observed.
-    pub peak: f64,
-    /// The cap budget, if one was configured.
-    pub budget: Option<f64>,
-    /// Per-rail energy, ledger order (a single entry on the default
-    /// CPU-only layout — per-rail columns only render for `len() > 1`).
-    pub rails: Vec<(RailKind, f64)>,
+    /// Ledger energy integral (power-instrumented runs only).
+    pub energy_ledger: Option<f64>,
+    /// `peak / budget` (runs with a positive cap budget only).
+    pub peak_over_budget: Option<f64>,
+    /// CPU-rail ledger energy (multi-rail runs only — a scenario with an
+    /// explicit `model =`; the single-rail default reports none).
+    pub energy_cpu: Option<f64>,
+    /// Memory-rail ledger energy (multi-rail runs only).
+    pub energy_mem: Option<f64>,
+    /// Interconnect-rail ledger energy (multi-rail runs only).
+    pub energy_net: Option<f64>,
 }
 
 impl CellOutcome {
-    /// Extracts the printable outcome of a finished run.
+    /// Extracts the summary of a finished run.
     pub fn of(res: &ScenarioResult) -> CellOutcome {
         let m = &res.run.metrics;
+        let power = res.power.as_ref();
+        // Per-rail energy only exists on the multi-rail layout; single-rail
+        // runs report none, so their rows keep the pre-rail shape.
+        let rail = |kind: RailKind| {
+            power
+                .filter(|p| p.rails.len() > 1)
+                .and_then(|p| p.rails.iter().find(|r| r.kind == kind))
+                .map(|r| r.energy)
+        };
         CellOutcome {
-            jobs: m.jobs,
+            jobs: m.jobs as u64,
             avg_bsld: m.avg_bsld,
-            avg_wait_secs: m.avg_wait_secs,
-            reduced_jobs: m.reduced_jobs,
+            avg_wait_s: m.avg_wait_secs,
+            reduced_jobs: m.reduced_jobs as u64,
             energy_comp: m.energy.computational,
             energy_idle: m.energy.with_idle,
-            power: res.power.as_ref().map(|p| PowerView {
-                energy: p.energy,
-                peak: p.peak,
-                budget: p.budget,
-                rails: p.rails.iter().map(|r| (r.kind, r.energy)).collect(),
-            }),
+            energy_ledger: power.map(|p| p.energy),
+            peak_over_budget: power.and_then(|p| p.budget.filter(|b| *b > 0.0).map(|b| p.peak / b)),
+            energy_cpu: rail(RailKind::Cpu),
+            energy_mem: rail(RailKind::Memory),
+            energy_net: rail(RailKind::Interconnect),
         }
-    }
-
-    fn rail(&self, kind: RailKind) -> Option<f64> {
-        self.power
-            .as_ref()
-            .filter(|p| p.rails.len() > 1)
-            .and_then(|p| p.rails.iter().find(|(k, _)| *k == kind))
-            .map(|(_, e)| *e)
     }
 }
 
@@ -148,52 +144,40 @@ pub fn sweep_report(rows: &[(String, Result<CellOutcome, String>)]) -> SweepRepo
         };
         // One formatter, two precisions: coarse for the on-screen table,
         // full for the persisted CSV.
-        let power_fields = |digits: usize| match &out.power {
-            Some(p) => (
-                format!("{:.digits$e}", p.energy),
-                match p.budget {
-                    Some(b) if b > 0.0 => format!("{:.digits$}", p.peak / b),
-                    _ => "-".to_string(),
-                },
-            ),
-            None => ("-".to_string(), "-".to_string()),
+        let dash = || "-".to_string();
+        let ledger = |digits: usize| {
+            out.energy_ledger
+                .map_or_else(dash, |e| format!("{e:.digits$e}"))
         };
-        let (ledger_disp, peak_disp) = power_fields(3);
-        let (ledger_csv, peak_csv) = power_fields(6);
-        let rail_csv = |kind: RailKind| -> String {
-            out.rail(kind)
-                .map(|e| format!("{e:.6e}"))
-                .unwrap_or_else(|| "-".to_string())
+        let peak = |digits: usize| {
+            out.peak_over_budget
+                .map_or_else(dash, |r| format!("{r:.digits$}"))
         };
-        let (cpu_csv, mem_csv, net_csv) = (
-            rail_csv(RailKind::Cpu),
-            rail_csv(RailKind::Memory),
-            rail_csv(RailKind::Interconnect),
-        );
-        any_rails |= cpu_csv != "-";
+        let rail_csv = |e: Option<f64>| e.map_or_else(dash, |e| format!("{e:.6e}"));
+        any_rails |= out.energy_cpu.is_some();
         t.row(vec![
             name.clone(),
             out.jobs.to_string(),
             format!("{:.2}", out.avg_bsld),
-            format!("{:.0}", out.avg_wait_secs),
+            format!("{:.0}", out.avg_wait_s),
             out.reduced_jobs.to_string(),
             format!("{:.3e}", out.energy_comp),
-            ledger_disp,
-            peak_disp,
+            ledger(3),
+            peak(3),
         ]);
         csv_rows.push(vec![
             name.clone(),
             out.jobs.to_string(),
             format!("{:.4}", out.avg_bsld),
-            format!("{:.1}", out.avg_wait_secs),
+            format!("{:.1}", out.avg_wait_s),
             out.reduced_jobs.to_string(),
             format!("{:.6e}", out.energy_comp),
             format!("{:.6e}", out.energy_idle),
-            ledger_csv,
-            peak_csv,
-            cpu_csv,
-            mem_csv,
-            net_csv,
+            ledger(6),
+            peak(6),
+            rail_csv(out.energy_cpu),
+            rail_csv(out.energy_mem),
+            rail_csv(out.energy_net),
         ]);
     }
     let mut headers = vec![
@@ -226,21 +210,25 @@ pub fn sweep_report(rows: &[(String, Result<CellOutcome, String>)]) -> SweepRepo
 mod tests {
     use super::*;
 
-    fn outcome(power: Option<PowerView>) -> CellOutcome {
+    fn outcome() -> CellOutcome {
         CellOutcome {
             jobs: 100,
             avg_bsld: 1.2345,
-            avg_wait_secs: 321.75,
+            avg_wait_s: 321.75,
             reduced_jobs: 40,
             energy_comp: 1.25e6,
             energy_idle: 1.5e6,
-            power,
+            energy_ledger: None,
+            peak_over_budget: None,
+            energy_cpu: None,
+            energy_mem: None,
+            energy_net: None,
         }
     }
 
     #[test]
     fn plain_sweep_keeps_the_pre_rail_csv_shape() {
-        let rows = vec![("a".to_string(), Ok(outcome(None)))];
+        let rows = vec![("a".to_string(), Ok(outcome()))];
         let rep = sweep_report(&rows);
         assert!(rep.csv.starts_with(
             "scenario,jobs,avg_bsld,avg_wait_s,reduced_jobs,energy_comp,energy_idle,\
@@ -256,19 +244,17 @@ mod tests {
 
     #[test]
     fn multi_rail_cells_extend_the_headers_for_the_whole_sweep() {
-        let multi = PowerView {
-            energy: 2.0e6,
-            peak: 50.0,
-            budget: Some(100.0),
-            rails: vec![
-                (RailKind::Cpu, 1.0e6),
-                (RailKind::Memory, 6.0e5),
-                (RailKind::Interconnect, 4.0e5),
-            ],
+        let multi = CellOutcome {
+            energy_ledger: Some(2.0e6),
+            peak_over_budget: Some(0.5),
+            energy_cpu: Some(1.0e6),
+            energy_mem: Some(6.0e5),
+            energy_net: Some(4.0e5),
+            ..outcome()
         };
         let rows = vec![
-            ("plain".to_string(), Ok(outcome(None))),
-            ("railed".to_string(), Ok(outcome(Some(multi)))),
+            ("plain".to_string(), Ok(outcome())),
+            ("railed".to_string(), Ok(multi)),
         ];
         let rep = sweep_report(&rows);
         assert!(rep.csv.contains("energy_cpu,energy_mem,energy_net"));
@@ -282,7 +268,7 @@ mod tests {
     #[test]
     fn failures_render_rows_and_summarise() {
         let rows = vec![
-            ("ok".to_string(), Ok(outcome(None))),
+            ("ok".to_string(), Ok(outcome())),
             ("bad".to_string(), Err("infeasible cap".to_string())),
         ];
         let rep = sweep_report(&rows);

@@ -83,16 +83,16 @@ use std::fmt;
 use std::path::{Path, PathBuf};
 
 use bsld_cluster::{Cluster, Gear, GearSet, SelectionPolicy};
-use bsld_model::{GearId, Job};
+use bsld_model::Job;
 use bsld_power::{
     Constant, Cubic, Empirical, Linear, PaperDvfs, PowerModel, Rail, RailKind, RailSet,
 };
 use bsld_powercap::{PowerReport, SleepConfig, SleepState};
-use bsld_sched::{BoostConfig, FixedGearPolicy, SchedMode, SimError};
+use bsld_sched::{BoostConfig, SchedMode, SimError};
 use bsld_workload::profiles::{BetaSpec, TraceProfile};
 use bsld_workload::Workload;
 
-use crate::policy::{BsldThresholdPolicy, PowerAwareConfig, WqThreshold};
+use crate::policy::{PowerAwareConfig, WqThreshold};
 use crate::sim::{RunResult, Simulator};
 
 /// The five calibrated workloads of the paper, by name.
@@ -560,9 +560,9 @@ pub struct Scenario {
     pub output: OutputSpec,
 }
 
-/// The unified result of [`Scenario::run`]: every run yields the usual
-/// metrics/outcomes; power-instrumented runs additionally carry the
-/// [`PowerReport`].
+/// The unified result of [`Simulator::run`] (and so of [`Scenario::run`]):
+/// every run yields the usual metrics/outcomes; power-instrumented runs
+/// additionally carry the [`PowerReport`].
 #[derive(Debug, Clone)]
 pub struct ScenarioResult {
     /// Metrics, outcomes and engine counters.
@@ -749,60 +749,15 @@ impl Scenario {
     }
 
     /// Runs the scenario's policy and power treatment on an already-built
-    /// simulator and job list (the workload spec is not consulted).
+    /// simulator and job list (the workload spec is not consulted): one
+    /// [`Simulator::run`] call.
     pub fn run_prepared(
         &self,
         sim: &Simulator,
         jobs: &[Job],
     ) -> Result<ScenarioResult, ScenarioError> {
-        execute(sim, jobs, &self.policy, &self.power).map_err(ScenarioError::Sim)
-    }
-}
-
-/// The single execution path every run goes through — the legacy
-/// [`Simulator::run_baseline`] / [`Simulator::run_power_aware`] /
-/// [`Simulator::run_power_capped`] entry points are thin shims over this.
-pub(crate) fn execute(
-    sim: &Simulator,
-    jobs: &[Job],
-    policy: &PolicySpec,
-    power: &PowerSpec,
-) -> Result<ScenarioResult, SimError> {
-    let fixed;
-    let bsld;
-    let policy_obj: &dyn bsld_sched::FrequencyPolicy = match policy {
-        PolicySpec::Baseline => {
-            fixed = FixedGearPolicy::new(sim.time_model.gears().top());
-            &fixed
-        }
-        PolicySpec::FixedGear(idx) => {
-            let top = sim.time_model.gears().top();
-            fixed = FixedGearPolicy::new(GearId((*idx).min(top.0)));
-            &fixed
-        }
-        PolicySpec::BsldThreshold { th, wq } => {
-            bsld = BsldThresholdPolicy::new(PowerAwareConfig {
-                bsld_threshold: *th,
-                wq_threshold: *wq,
-            });
-            &bsld
-        }
-    };
-    if power.instrumented() {
-        let res = sim.run_power_capped_with(
-            jobs,
-            policy_obj,
-            power.cap_fraction,
-            power.soft_wq_escape,
-            &power.sleep.build(),
-        )?;
-        Ok(ScenarioResult {
-            run: res.run,
-            power: Some(res.power),
-        })
-    } else {
-        let run = sim.run_with_policy(jobs, policy_obj)?;
-        Ok(ScenarioResult { run, power: None })
+        sim.run(jobs, &self.policy, &self.power)
+            .map_err(ScenarioError::Sim)
     }
 }
 
@@ -2275,10 +2230,10 @@ mod tests {
         };
         let res = sc.run().unwrap();
         let w = TraceProfile::sdsc_blue().scaled_cpus(64).generate(42, 100);
-        let legacy = Simulator::paper_default(&w.cluster_name, w.cpus)
-            .run_power_aware(&w.jobs, &PowerAwareConfig::medium())
+        let wired = Simulator::paper_default(&w.cluster_name, w.cpus)
+            .run(&w.jobs, &sc.policy, &PowerSpec::off())
             .unwrap();
-        assert_eq!(res.run.outcomes, legacy.outcomes);
+        assert_eq!(res.run.outcomes, wired.run.outcomes);
         assert!(res.power.is_none());
     }
 

@@ -1,22 +1,23 @@
 //! The simulator facade.
 //!
 //! Bundles a cluster, the paper's power and time models and the scheduling
-//! engine behind three calls: [`Simulator::run_baseline`] (EASY, no DVFS),
-//! [`Simulator::run_power_aware`] (EASY + the BSLD-threshold policy) and
-//! [`Simulator::run_power_capped`] (either policy under a cluster power
-//! budget with idle sleep states, via `bsld-powercap`).
+//! engine behind one call, [`Simulator::run`]: a [`PolicySpec`] (the
+//! no-DVFS baseline, a pinned gear or the paper's BSLD-threshold policy)
+//! under a [`PowerSpec`] (off, or a power ledger with idle sleep states and
+//! an optional cluster budget, via `bsld-powercap`).
 
 use bsld_cluster::{Cluster, GearSet};
 use bsld_metrics::RunMetrics;
-use bsld_model::{Job, JobOutcome};
+use bsld_model::{GearId, Job, JobOutcome};
 use bsld_power::{BetaModel, PaperDvfs, RailSet};
-use bsld_powercap::{PowerCap, PowerCapPolicy, PowerReport, SleepConfig};
+use bsld_powercap::{PowerCap, PowerCapPolicy};
 use bsld_sched::{
-    simulate, simulate_with_hook, BoostConfig, EngineConfig, FrequencyPolicy, PassStats, SimError,
+    simulate, simulate_with_hook, BoostConfig, EngineConfig, FixedGearPolicy, FrequencyPolicy,
+    PassStats, SimError,
 };
 
-use crate::policy::PowerAwareConfig;
-use crate::scenario::{self, PolicySpec, PowerSpec};
+use crate::policy::{BsldThresholdPolicy, PowerAwareConfig};
+use crate::scenario::{PolicySpec, PowerSpec, ScenarioResult};
 
 /// A simulation result: the paper's metrics plus the raw outcomes.
 #[derive(Debug, Clone)]
@@ -27,74 +28,6 @@ pub struct RunResult {
     pub outcomes: Vec<JobOutcome>,
     /// Engine pass/rebuild/skip counters (incremental-engine diagnostics).
     pub pass_stats: PassStats,
-}
-
-/// Configuration of a power-capped run ([`Simulator::run_power_capped`]).
-#[derive(Debug, Clone)]
-pub struct PowerCapConfig {
-    /// Cluster power budget as a fraction of the machine's peak draw
-    /// (every processor busy at the top gear). `None` = no budget: the
-    /// run only *observes* power (ledger + sleep states).
-    pub cap_fraction: Option<f64>,
-    /// `Some(n)`: soft cap — once more than `n` other jobs wait, an
-    /// over-budget start is admitted (at the most frugal gear) and
-    /// recorded as a violation. `None`: hard cap.
-    pub soft_wq_escape: Option<usize>,
-    /// The idle sleep-state ladder ([`SleepConfig::none`] to disable).
-    pub sleep: SleepConfig,
-    /// `Some`: run the paper's BSLD-threshold frequency policy under the
-    /// cap. `None`: fixed top gear (the no-DVFS baseline, capped).
-    pub policy: Option<PowerAwareConfig>,
-}
-
-impl PowerCapConfig {
-    /// No budget, no sleeping, no DVFS: baseline scheduling with the
-    /// power ledger recording.
-    pub fn observe_only() -> Self {
-        PowerCapConfig {
-            cap_fraction: None,
-            soft_wq_escape: None,
-            sleep: SleepConfig::none(),
-            policy: None,
-        }
-    }
-
-    /// A hard cap at `fraction` of peak draw (no sleeping, no DVFS).
-    pub fn hard(fraction: f64) -> Self {
-        PowerCapConfig {
-            cap_fraction: Some(fraction),
-            ..Self::observe_only()
-        }
-    }
-
-    /// Adds a sleep ladder (builder style).
-    pub fn with_sleep(mut self, sleep: SleepConfig) -> Self {
-        self.sleep = sleep;
-        self
-    }
-
-    /// Runs the BSLD-threshold policy under the cap (builder style).
-    pub fn with_policy(mut self, policy: PowerAwareConfig) -> Self {
-        self.policy = Some(policy);
-        self
-    }
-
-    /// Turns the cap soft with the given queue-depth escape (builder
-    /// style).
-    pub fn with_soft_escape(mut self, wq_escape: usize) -> Self {
-        self.soft_wq_escape = Some(wq_escape);
-        self
-    }
-}
-
-/// A power-capped simulation result: the usual metrics plus the power
-/// report (series, energy integral, enforcement and sleep counters).
-#[derive(Debug, Clone)]
-pub struct PowerCappedResult {
-    /// Metrics and outcomes, as from any other run.
-    pub run: RunResult,
-    /// The power side: step series, integral, peak, counters.
-    pub power: PowerReport,
 }
 
 /// A configured machine + models, ready to run workloads.
@@ -183,130 +116,100 @@ impl Simulator {
         self
     }
 
-    /// Runs `jobs` under an arbitrary frequency policy.
-    pub fn run_with_policy<P: FrequencyPolicy + ?Sized>(
-        &self,
-        jobs: &[Job],
-        policy: &P,
-    ) -> Result<RunResult, SimError> {
-        let res = simulate(&self.cluster, jobs, policy, &self.time_model, &self.engine)?;
-        let metrics = RunMetrics::compute(
-            &res.outcomes,
-            &self.power,
-            self.cluster.cpus,
-            self.time_model.gears().len(),
-        );
-        Ok(RunResult {
-            metrics,
-            outcomes: res.outcomes,
-            pass_stats: res.stats,
-        })
-    }
-
-    /// EASY backfilling with every job at the top gear — the paper's
-    /// no-DVFS baseline. Thin shim over the scenario execution path
-    /// ([`crate::scenario::PolicySpec::Baseline`]).
-    pub fn run_baseline(&self, jobs: &[Job]) -> Result<RunResult, SimError> {
-        scenario::execute(self, jobs, &PolicySpec::Baseline, &PowerSpec::off()).map(|r| r.run)
-    }
-
-    /// EASY backfilling with the paper's BSLD-threshold frequency
-    /// assignment. Thin shim over the scenario execution path.
-    pub fn run_power_aware(
-        &self,
-        jobs: &[Job],
-        cfg: &PowerAwareConfig,
-    ) -> Result<RunResult, SimError> {
-        scenario::execute(self, jobs, &PolicySpec::from(*cfg), &PowerSpec::off()).map(|r| r.run)
-    }
-
-    /// Runs `jobs` with cluster power as a first-class signal: a
-    /// [`bsld_powercap::PowerLedger`] tracks instantaneous draw, an idle
-    /// manager applies `cfg.sleep`, and `cfg.cap_fraction` (if any) is
-    /// enforced on every start and boost decision. Thin shim over the
-    /// scenario execution path.
+    /// Runs `jobs` under `policy` with the `power` treatment: the one
+    /// execution path every run goes through.
+    ///
+    /// An instrumented `power` ([`PowerSpec::instrumented`]) attaches a
+    /// [`PowerCapPolicy`] hook: a [`bsld_powercap::PowerLedger`] tracks
+    /// instantaneous draw, an idle manager applies `power.sleep`, and
+    /// `power.cap_fraction` (if any) is enforced on every start and boost
+    /// decision; the result then carries the power report. Energy is priced
+    /// with `self.power`. `power.boost` and `power.model` are not read
+    /// here: they shape the machine, and [`crate::Scenario::simulator`]
+    /// applies them when it builds `self`.
     ///
     /// Fails with [`SimError::Stalled`] when a hard budget is infeasible
     /// for the workload (some job cannot run even alone, down-geared, on
     /// an otherwise sleeping machine).
-    pub fn run_power_capped(
+    pub fn run(
         &self,
         jobs: &[Job],
-        cfg: &PowerCapConfig,
-    ) -> Result<PowerCappedResult, SimError> {
-        let policy = match &cfg.policy {
-            None => PolicySpec::Baseline,
-            Some(pa) => PolicySpec::from(*pa),
+        policy: &PolicySpec,
+        power: &PowerSpec,
+    ) -> Result<ScenarioResult, SimError> {
+        let fixed;
+        let bsld;
+        let policy: &dyn FrequencyPolicy = match *policy {
+            PolicySpec::Baseline => {
+                fixed = FixedGearPolicy::new(self.time_model.gears().top());
+                &fixed
+            }
+            PolicySpec::FixedGear(idx) => {
+                let top = self.time_model.gears().top();
+                fixed = FixedGearPolicy::new(GearId(idx.min(top.0)));
+                &fixed
+            }
+            PolicySpec::BsldThreshold { th, wq } => {
+                bsld = BsldThresholdPolicy::new(PowerAwareConfig {
+                    bsld_threshold: th,
+                    wq_threshold: wq,
+                });
+                &bsld
+            }
         };
-        let power = PowerSpec {
-            cap_fraction: cfg.cap_fraction,
-            soft_wq_escape: cfg.soft_wq_escape,
-            sleep: scenario::SleepSpec::Custom(cfg.sleep.clone()),
-            boost: None,
-            observe: true,
-            model: None,
+        let cpus = self.cluster.cpus;
+        let (res, report) = if power.instrumented() {
+            let budget = |f: f64| f * PowerCapPolicy::peak_draw(&self.power, cpus);
+            let cap = match (power.cap_fraction, power.soft_wq_escape) {
+                (None, _) => PowerCap::Uncapped,
+                (Some(f), None) => PowerCap::Hard { budget: budget(f) },
+                (Some(f), Some(wq_escape)) => PowerCap::Soft {
+                    budget: budget(f),
+                    wq_escape,
+                },
+            };
+            let mut hook = PowerCapPolicy::with_rails(&self.power, cpus, cap, power.sleep.build());
+            if let Some(sink) = &self.engine.sink {
+                // The engine and its power hook share one sink, so sleep
+                // transitions interleave with scheduler events in sim-time
+                // order.
+                hook = hook.with_sink(sink.clone());
+            }
+            let res = simulate_with_hook(
+                &self.cluster,
+                jobs,
+                policy,
+                &self.time_model,
+                &self.engine,
+                &mut hook,
+            )?;
+            let report = hook.into_report(res.makespan.as_secs());
+            (res, Some(report))
+        } else {
+            let res = simulate(&self.cluster, jobs, policy, &self.time_model, &self.engine)?;
+            (res, None)
         };
-        scenario::execute(self, jobs, &policy, &power).map(|r| PowerCappedResult {
-            run: r.run,
-            // audit:allow(R1): observe=true forces power instrumentation on this path
-            power: r.power.expect("instrumented run always reports power"),
-        })
-    }
-
-    /// The power-instrumented execution kernel: runs `jobs` under an
-    /// arbitrary frequency policy with a [`bsld_powercap::PowerLedger`],
-    /// the `sleep` ladder and an optional budget (`cap_fraction` of peak
-    /// draw; `soft_wq_escape` turns it soft). This is the single path all
-    /// capped/observed runs go through.
-    pub fn run_power_capped_with<P: FrequencyPolicy + ?Sized>(
-        &self,
-        jobs: &[Job],
-        policy: &P,
-        cap_fraction: Option<f64>,
-        soft_wq_escape: Option<usize>,
-        sleep: &SleepConfig,
-    ) -> Result<PowerCappedResult, SimError> {
-        let cap = match (cap_fraction, soft_wq_escape) {
-            (None, _) => PowerCap::Uncapped,
-            (Some(f), None) => PowerCap::Hard {
-                budget: f * PowerCapPolicy::peak_draw(&self.power, self.cluster.cpus),
-            },
-            (Some(f), Some(wq_escape)) => PowerCap::Soft {
-                budget: f * PowerCapPolicy::peak_draw(&self.power, self.cluster.cpus),
-                wq_escape,
-            },
-        };
-        let mut hook =
-            PowerCapPolicy::with_rails(&self.power, self.cluster.cpus, cap, sleep.clone());
-        if let Some(sink) = &self.engine.sink {
-            // The engine and its power hook share one sink, so sleep
-            // transitions interleave with scheduler events in sim-time
-            // order.
-            hook = hook.with_sink(sink.clone());
-        }
-        let res = simulate_with_hook(
-            &self.cluster,
-            jobs,
-            policy,
-            &self.time_model,
-            &self.engine,
-            &mut hook,
-        )?;
         let metrics = RunMetrics::compute(
             &res.outcomes,
             &self.power,
-            self.cluster.cpus,
+            cpus,
             self.time_model.gears().len(),
         );
-        let power = hook.into_report(res.makespan.as_secs());
-        Ok(PowerCappedResult {
+        Ok(ScenarioResult {
             run: RunResult {
                 metrics,
                 outcomes: res.outcomes,
                 pass_stats: res.stats,
             },
-            power,
+            power: report,
         })
+    }
+
+    /// EASY backfilling with every job at the top gear — the paper's
+    /// no-DVFS baseline, uninstrumented.
+    pub fn run_baseline(&self, jobs: &[Job]) -> Result<RunResult, SimError> {
+        self.run(jobs, &PolicySpec::Baseline, &PowerSpec::off())
+            .map(|r| r.run)
     }
 }
 
@@ -314,6 +217,7 @@ impl Simulator {
 mod tests {
     use super::*;
     use crate::policy::WqThreshold;
+    use crate::scenario::SleepSpec;
     use bsld_sched::validate_schedule;
     use bsld_workload::profiles::TraceProfile;
 
@@ -341,7 +245,10 @@ mod tests {
             bsld_threshold: 3.0,
             wq_threshold: WqThreshold::NoLimit,
         };
-        let dvfs = sim.run_power_aware(&w.jobs, &cfg).unwrap();
+        let dvfs = sim
+            .run(&w.jobs, &PolicySpec::from(cfg), &PowerSpec::off())
+            .unwrap()
+            .run;
         validate_schedule(&dvfs.outcomes, w.cpus).unwrap();
         assert!(dvfs.metrics.reduced_jobs > 0, "some jobs must be reduced");
         assert!(
@@ -360,24 +267,12 @@ mod tests {
     fn wq_zero_is_more_conservative_than_no_limit() {
         let w = small_workload();
         let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-        let strict = sim
-            .run_power_aware(
-                &w.jobs,
-                &PowerAwareConfig {
-                    bsld_threshold: 2.0,
-                    wq_threshold: WqThreshold::Limit(0),
-                },
-            )
-            .unwrap();
-        let loose = sim
-            .run_power_aware(
-                &w.jobs,
-                &PowerAwareConfig {
-                    bsld_threshold: 2.0,
-                    wq_threshold: WqThreshold::NoLimit,
-                },
-            )
-            .unwrap();
+        let run = |wq| {
+            let policy = PolicySpec::BsldThreshold { th: 2.0, wq };
+            sim.run(&w.jobs, &policy, &PowerSpec::off()).unwrap().run
+        };
+        let strict = run(WqThreshold::Limit(0));
+        let loose = run(WqThreshold::NoLimit);
         assert!(strict.metrics.reduced_jobs <= loose.metrics.reduced_jobs);
     }
 
@@ -414,63 +309,72 @@ mod tests {
         let w = small_workload();
         let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
         let base = sim.run_baseline(&w.jobs).unwrap();
-        let capped = sim
-            .run_power_capped(&w.jobs, &PowerCapConfig::observe_only())
-            .unwrap();
+        let observe = PowerSpec {
+            observe: true,
+            ..PowerSpec::off()
+        };
+        let capped = sim.run(&w.jobs, &PolicySpec::Baseline, &observe).unwrap();
+        let power = capped.power.unwrap();
         // No budget, no sleeping, no DVFS: the schedule must be identical,
         // and the ledger's integral must equal the post-hoc idle-aware
         // energy report.
         assert_eq!(capped.run.outcomes, base.outcomes);
-        let rel = capped.power.energy / base.metrics.energy.with_idle;
+        let rel = power.energy / base.metrics.energy.with_idle;
         assert!((rel - 1.0).abs() < 1e-9, "ledger vs post-hoc energy: {rel}");
-        assert!(capped.power.peak > 0.0);
-        assert_eq!(capped.power.budget, None);
-        assert_eq!(capped.power.cap.deferrals, 0);
+        assert!(power.peak > 0.0);
+        assert_eq!(power.budget, None);
+        assert_eq!(power.cap.deferrals, 0);
     }
 
     #[test]
     fn hard_cap_is_respected_at_every_step() {
         let w = small_workload();
         let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-        let cfg = PowerCapConfig::hard(0.6).with_policy(PowerAwareConfig {
-            bsld_threshold: 2.0,
-            wq_threshold: WqThreshold::NoLimit,
-        });
-        let capped = sim.run_power_capped(&w.jobs, &cfg).unwrap();
+        let policy = PolicySpec::BsldThreshold {
+            th: 2.0,
+            wq: WqThreshold::NoLimit,
+        };
+        let cap = PowerSpec {
+            cap_fraction: Some(0.6),
+            ..PowerSpec::off()
+        };
+        let capped = sim.run(&w.jobs, &policy, &cap).unwrap();
         validate_schedule(&capped.run.outcomes, w.cpus).unwrap();
-        let budget = capped.power.budget.unwrap();
-        for &(t, p) in &capped.power.series {
+        let power = capped.power.unwrap();
+        let budget = power.budget.unwrap();
+        for &(t, p) in &power.series {
             assert!(p <= budget + 1e-6, "draw {p} over budget {budget} at t={t}");
         }
-        assert!(capped.power.peak <= budget + 1e-6);
+        assert!(power.peak <= budget + 1e-6);
     }
 
     #[test]
     fn sleep_states_cut_idle_energy() {
         let w = small_workload();
         let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-        let plain = sim
-            .run_power_capped(&w.jobs, &PowerCapConfig::observe_only())
-            .unwrap();
-        let sleeping = sim
-            .run_power_capped(
-                &w.jobs,
-                &PowerCapConfig::observe_only()
-                    .with_sleep(bsld_powercap::SleepConfig::paper_default()),
-            )
-            .unwrap();
+        let observe = PowerSpec {
+            observe: true,
+            ..PowerSpec::off()
+        };
+        let plain = sim.run(&w.jobs, &PolicySpec::Baseline, &observe).unwrap();
+        let sleep = PowerSpec {
+            sleep: SleepSpec::Paper,
+            ..observe
+        };
+        let sleeping = sim.run(&w.jobs, &PolicySpec::Baseline, &sleep).unwrap();
         // Same schedule (sleeping never defers anything)...
         assert_eq!(sleeping.run.outcomes, plain.run.outcomes);
         // ...but idle stretches now draw less despite wake penalties.
+        let (sleeping, plain) = (sleeping.power.unwrap(), plain.power.unwrap());
         assert!(
-            sleeping.power.energy < plain.power.energy,
+            sleeping.energy < plain.energy,
             "sleep must save energy: {} vs {}",
-            sleeping.power.energy,
-            plain.power.energy
+            sleeping.energy,
+            plain.energy
         );
-        assert!(sleeping.power.sleep.sleeps > 0);
+        assert!(sleeping.sleep.sleeps > 0);
         // Every wake corresponds to an earlier sleep transition.
-        assert!(sleeping.power.sleep.wakes <= sleeping.power.sleep.sleeps);
+        assert!(sleeping.sleep.wakes <= sleeping.sleep.sleeps);
     }
 
     #[test]
@@ -478,9 +382,11 @@ mod tests {
         let w = small_workload();
         let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
         // A budget below the idle floor can never admit anything.
-        let err = sim
-            .run_power_capped(&w.jobs, &PowerCapConfig::hard(0.05))
-            .unwrap_err();
+        let cap = PowerSpec {
+            cap_fraction: Some(0.05),
+            ..PowerSpec::off()
+        };
+        let err = sim.run(&w.jobs, &PolicySpec::Baseline, &cap).unwrap_err();
         assert!(
             matches!(err, bsld_sched::SimError::Stalled { .. }),
             "{err:?}"
@@ -495,12 +401,14 @@ mod tests {
             bsld_threshold: 3.0,
             wq_threshold: WqThreshold::NoLimit,
         };
-        let plain = sim.run_power_aware(&w.jobs, &cfg).unwrap();
+        let policy = PolicySpec::from(cfg);
+        let plain = sim.run(&w.jobs, &policy, &PowerSpec::off()).unwrap().run;
         let boosted = sim
             .clone()
             .with_boost(4)
-            .run_power_aware(&w.jobs, &cfg)
-            .unwrap();
+            .run(&w.jobs, &policy, &PowerSpec::off())
+            .unwrap()
+            .run;
         validate_schedule(&boosted.outcomes, w.cpus).unwrap();
         // Boosting can only shorten runtimes of reduced jobs, so energy
         // goes up and performance improves (or stays).

@@ -86,14 +86,6 @@ impl Json {
         }
     }
 
-    /// The array items, if this is an `Arr`.
-    pub fn as_arr(&self) -> Option<&[Json]> {
-        match self {
-            Json::Arr(items) => Some(items),
-            _ => None,
-        }
-    }
-
     /// Parses JSON text into a value.
     ///
     /// Accepts exactly one top-level value (surrounding whitespace is
@@ -647,10 +639,6 @@ mod tests {
         assert_eq!(Json::Num(-1.0).as_u64(), None, "negative");
         assert_eq!(Json::Num(1e300).as_u64(), None, "beyond 2^53");
         assert_eq!(v.get("b").and_then(Json::as_bool), Some(false));
-        assert_eq!(
-            v.get("a").and_then(Json::as_arr).map(<[Json]>::len),
-            Some(1)
-        );
         assert_eq!(Json::Null.get("s"), None);
     }
 

@@ -122,23 +122,6 @@ pub fn resample_power_series(series: &[(u64, f64)], end_s: u64, step_s: u64) -> 
     out
 }
 
-/// Centred moving average with the given window (odd windows recommended).
-/// Returns one smoothed value per input value.
-pub fn moving_average(values: &[f64], window: usize) -> Vec<f64> {
-    if values.is_empty() || window <= 1 {
-        return values.to_vec();
-    }
-    let half = window / 2;
-    let mut out = Vec::with_capacity(values.len());
-    for i in 0..values.len() {
-        let lo = i.saturating_sub(half);
-        let hi = (i + half + 1).min(values.len());
-        let sum: f64 = values[lo..hi].iter().sum();
-        out.push(sum / (hi - lo) as f64);
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -167,23 +150,6 @@ mod tests {
         let outcomes = vec![outcome(30, 35), outcome(10, 10), outcome(20, 50)];
         let s = wait_series(&outcomes);
         assert_eq!(s, vec![(10, 0), (20, 30), (30, 5)]);
-    }
-
-    #[test]
-    fn moving_average_smooths() {
-        let xs = vec![0.0, 10.0, 0.0, 10.0, 0.0];
-        let sm = moving_average(&xs, 3);
-        assert_eq!(sm.len(), xs.len());
-        assert!((sm[2] - 20.0 / 3.0).abs() < 1e-12);
-        // Edges use truncated windows.
-        assert!((sm[0] - 5.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn window_one_is_identity() {
-        let xs = vec![1.0, 2.0, 3.0];
-        assert_eq!(moving_average(&xs, 1), xs);
-        assert_eq!(moving_average(&[], 5), Vec::<f64>::new());
     }
 
     #[test]

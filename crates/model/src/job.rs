@@ -83,12 +83,6 @@ impl Job {
     pub fn estimate_exact(&self) -> bool {
         self.requested == self.runtime
     }
-
-    /// Overestimation factor `requested / runtime` (≥ 1).
-    #[inline]
-    pub fn overestimate(&self) -> f64 {
-        self.requested as f64 / self.runtime as f64
-    }
 }
 
 #[cfg(test)]
@@ -111,7 +105,6 @@ mod tests {
         let j = Job::new(0, Time(0), 8, 3600, 7200);
         assert_eq!(j.area(), 8 * 3600);
         assert!(!j.estimate_exact());
-        assert!((j.overestimate() - 2.0).abs() < 1e-12);
 
         let exact = Job::new(1, Time(0), 1, 60, 60);
         assert!(exact.estimate_exact());

@@ -161,12 +161,6 @@ impl PaperDvfs {
         self.p_dynamic_idle(low) + self.p_static(low)
     }
 
-    /// `P_idle / P_active(top)` — the paper reports ≈ 0.21 for its
-    /// parameters.
-    pub fn idle_fraction_of_top(&self) -> f64 {
-        self.p_idle() / self.p_active(self.gears.top())
-    }
-
     /// Energy (per processor) to run one second of *top-frequency work* at
     /// `gear`, i.e. `P_active(gear) · Coef` where the caller supplies the
     /// β-model dilation `coef`. Useful for reasoning about whether a gear
@@ -233,7 +227,7 @@ mod tests {
         // The paper: "an idle processor consumes 21% of the power consumed
         // by a processor executing a job at the highest frequency".
         let m = paper_model();
-        let frac = m.idle_fraction_of_top();
+        let frac = m.p_idle() / m.p_active(m.gears().top());
         assert!((frac - 0.213).abs() < 0.005, "idle fraction = {frac}");
     }
 

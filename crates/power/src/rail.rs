@@ -115,11 +115,6 @@ impl RailSet {
         self.rails.len()
     }
 
-    /// Whether this is the single-rail (CPU-only) default layout.
-    pub fn is_single(&self) -> bool {
-        self.rails.len() == 1
-    }
-
     /// `len() == 0` is impossible by construction; provided for clippy's
     /// `len_without_is_empty`.
     pub fn is_empty(&self) -> bool {
@@ -171,7 +166,7 @@ mod tests {
             assert_eq!(set.p_active(id).to_bits(), pm.p_active(id).to_bits());
         }
         assert_eq!(set.p_idle().to_bits(), pm.p_idle().to_bits());
-        assert!(set.is_single());
+        assert_eq!(set.len(), 1);
     }
 
     #[test]

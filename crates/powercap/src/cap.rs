@@ -208,11 +208,6 @@ impl PowerCapPolicy {
         &self.idle
     }
 
-    /// Enforcement counters so far.
-    pub fn cap_stats(&self) -> CapStats {
-        self.stats
-    }
-
     /// Draw delta of starting `cpus` at `gear` right now, given where the
     /// processors would be sourced from.
     fn delta(&self, cpus: u32, gear: GearId) -> f64 {
@@ -415,7 +410,7 @@ mod tests {
         let g = p.admit_start(Time(0), 8, GearId(5), 0, true);
         assert_eq!(g, Some(GearId(5)));
         assert!(p.admit_gear_change(Time(0), 8, GearId(0), GearId(5)));
-        assert_eq!(p.cap_stats(), CapStats::default());
+        assert_eq!(p.stats, CapStats::default());
     }
 
     #[test]
@@ -428,13 +423,13 @@ mod tests {
         // A top-gear start of the whole machine must be down-geared to 0.
         let g = p.admit_start(Time(0), total, GearId(5), 0, true);
         assert_eq!(g, Some(GearId(0)));
-        assert_eq!(p.cap_stats().downgears, 1);
+        assert_eq!(p.stats.downgears, 1);
         p.on_job_start(Time(0), total, GearId(0));
         assert!(p.power_now() <= budget + 1e-9);
         // Machine fully busy at the budget: any further start... cannot
         // happen (no processors), but a gear change up must be vetoed.
         assert!(!p.admit_gear_change(Time(10), total, GearId(0), GearId(1)));
-        assert_eq!(p.cap_stats().boost_vetoes, 1);
+        assert_eq!(p.stats.boost_vetoes, 1);
     }
 
     #[test]
@@ -446,7 +441,7 @@ mod tests {
         let mut p = policy(4, PowerCap::Hard { budget });
         let g = p.admit_start(Time(0), 1, GearId(0), 3, true);
         assert_eq!(g, None);
-        assert_eq!(p.cap_stats().deferrals, 1);
+        assert_eq!(p.stats.deferrals, 1);
     }
 
     #[test]
@@ -466,17 +461,17 @@ mod tests {
             p.admit_start(Time(0), 1, GearId(5), 0, true),
             Some(GearId(0))
         );
-        assert_eq!(p.cap_stats().soft_violations, 1);
+        assert_eq!(p.stats.soft_violations, 1);
         p.on_job_start(Time(0), 1, GearId(0));
         // One job running, queue depth at the escape threshold: deferred.
         assert_eq!(p.admit_start(Time(1), 1, GearId(5), 2, true), None);
-        assert_eq!(p.cap_stats().deferrals, 1);
+        assert_eq!(p.stats.deferrals, 1);
         // Past the threshold: admitted at gear 0, violation recorded.
         assert_eq!(
             p.admit_start(Time(1), 1, GearId(5), 3, true),
             Some(GearId(0))
         );
-        assert_eq!(p.cap_stats().soft_violations, 2);
+        assert_eq!(p.stats.soft_violations, 2);
     }
 
     #[test]

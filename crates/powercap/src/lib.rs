@@ -22,9 +22,10 @@
 //!   the violation) once the wait queue grows past an escape threshold,
 //!   mirroring the paper's `WQ_threshold` gate.
 //!
-//! The run-facing integration lives in `bsld-core`
-//! (`Simulator::run_power_capped`) and the cap-sweep experiment in
-//! `bsld-core`'s experiment harness.
+//! The run-facing integration lives in `bsld-core`: `Simulator::run`
+//! attaches a [`PowerCapPolicy`] whenever its power spec is instrumented,
+//! and the cap-sweep experiment in `bsld-core`'s experiment harness
+//! drives it.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]

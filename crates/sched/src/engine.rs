@@ -258,15 +258,6 @@ pub struct SimResult {
     pub stats: PassStats,
 }
 
-impl SimResult {
-    /// Outcomes re-sorted by job id (arrival order).
-    pub fn outcomes_by_id(&self) -> Vec<&JobOutcome> {
-        let mut v: Vec<&JobOutcome> = self.outcomes.iter().collect();
-        v.sort_by_key(|o| o.id);
-        v
-    }
-}
-
 /// What the event loop handles. Only `Finish` and `PowerRetry` are ever
 /// pushed into the event queue; arrivals are read in order from `jobs`
 /// through the arrival cursor (see [`Simulation::next_event`]).

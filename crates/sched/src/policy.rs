@@ -36,13 +36,6 @@ impl<'a> DecisionCtx<'a> {
     pub fn coef(&self, gear: GearId) -> f64 {
         self.time_model.coef(self.job.beta, gear)
     }
-
-    /// The job's requested time dilated to `gear`.
-    #[inline]
-    pub fn dilated_requested(&self, gear: GearId) -> u64 {
-        self.time_model
-            .dilate(self.job.requested, self.job.beta, gear)
-    }
 }
 
 /// Assigns a DVFS gear to each job at scheduling time.
@@ -180,8 +173,6 @@ mod tests {
             time_model: &tm,
         };
         assert!((ctx.coef(tm.gears().top()) - 1.0).abs() < 1e-12);
-        assert_eq!(ctx.dilated_requested(tm.gears().top()), 2000);
-        assert!(ctx.dilated_requested(GearId(0)) > 3000);
     }
 
     #[test]

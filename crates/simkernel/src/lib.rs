@@ -10,8 +10,8 @@
 //! * [`rng`] — seed-splitting utilities on top of [`rand::rngs::SmallRng`]
 //!   so that every stochastic component of an experiment can be given an
 //!   independent, reproducible stream;
-//! * [`stats`] — online (Welford) statistics, histograms and time-weighted
-//!   averages used when summarising simulation runs.
+//! * [`stats`] — online (Welford) statistics and confidence intervals used
+//!   when summarising simulation runs.
 //!
 //! The kernel is intentionally independent of the scheduling domain: it knows
 //! nothing about jobs, processors or power. See `bsld-sched` for the

@@ -49,8 +49,6 @@ pub mod streams {
     pub const ESTIMATES: u64 = 4;
     /// Per-job β (frequency-sensitivity) distribution.
     pub const BETA: u64 = 5;
-    /// Miscellaneous/test stream.
-    pub const MISC: u64 = 99;
 }
 
 #[cfg(test)]
@@ -101,7 +99,6 @@ mod tests {
             streams::RUNTIMES,
             streams::ESTIMATES,
             streams::BETA,
-            streams::MISC,
         ];
         for (i, a) in ids.iter().enumerate() {
             for b in ids.iter().skip(i + 1) {

@@ -2,11 +2,8 @@
 //!
 //! * [`OnlineStats`] — single-pass mean/variance/min/max (Welford's
 //!   algorithm), numerically stable for millions of samples;
-//! * [`Histogram`] — fixed-bin histogram over a `[lo, hi)` range;
-//! * [`TimeWeighted`] — integral of a step function over time, used e.g. for
-//!   average queue depth and utilisation.
-
-use crate::time::Time;
+//! * [`t_critical_95`] and [`quantile_sorted`] — the Student-t critical
+//!   value and sorted-slice quantiles behind the reported intervals.
 
 /// Single-pass mean / variance / extrema accumulator (Welford).
 #[derive(Debug, Clone, Default)]
@@ -73,11 +70,6 @@ impl OnlineStats {
         } else {
             self.m2 / self.n as f64
         }
-    }
-
-    /// Population standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
     }
 
     /// Unbiased sample variance (Bessel's correction, `m2 / (n - 1)`;
@@ -174,159 +166,6 @@ pub fn t_critical_95(df: u64) -> f64 {
     }
 }
 
-/// Fixed-width-bin histogram over `[lo, hi)` with under/overflow bins and a
-/// dedicated NaN bucket.
-#[derive(Debug, Clone)]
-pub struct Histogram {
-    lo: f64,
-    hi: f64,
-    bins: Vec<u64>,
-    underflow: u64,
-    overflow: u64,
-    nan: u64,
-}
-
-impl Histogram {
-    /// Creates a histogram with `bins` equal-width bins spanning `[lo, hi)`.
-    ///
-    /// # Panics
-    /// Panics if `bins == 0` or `hi <= lo`.
-    pub fn new(lo: f64, hi: f64, bins: usize) -> Self {
-        assert!(bins > 0, "histogram needs at least one bin");
-        assert!(hi > lo, "histogram range must be non-empty");
-        Histogram {
-            lo,
-            hi,
-            bins: vec![0; bins],
-            underflow: 0,
-            overflow: 0,
-            nan: 0,
-        }
-    }
-
-    /// Records one observation. NaN observations land in a dedicated
-    /// bucket ([`Histogram::nan`]) instead of being miscounted: every
-    /// range comparison on NaN is false, so the old code fell through and
-    /// `NaN as usize` silently incremented bin 0. Infinities are ordered
-    /// and keep going to the under/overflow bins.
-    pub fn push(&mut self, x: f64) {
-        if x.is_nan() {
-            self.nan += 1;
-        } else if x < self.lo {
-            self.underflow += 1;
-        } else if x >= self.hi {
-            self.overflow += 1;
-        } else {
-            let frac = (x - self.lo) / (self.hi - self.lo);
-            let idx = ((frac * self.bins.len() as f64) as usize).min(self.bins.len() - 1);
-            self.bins[idx] += 1;
-        }
-    }
-
-    /// Counts per bin, excluding under/overflow.
-    pub fn bins(&self) -> &[u64] {
-        &self.bins
-    }
-
-    /// Observations below `lo`.
-    pub fn underflow(&self) -> u64 {
-        self.underflow
-    }
-
-    /// Observations at or above `hi`.
-    pub fn overflow(&self) -> u64 {
-        self.overflow
-    }
-
-    /// NaN observations (neither a bin nor an under/overflow).
-    pub fn nan(&self) -> u64 {
-        self.nan
-    }
-
-    /// Total number of recorded observations, NaN bucket included.
-    pub fn total(&self) -> u64 {
-        self.underflow + self.overflow + self.nan + self.bins.iter().sum::<u64>()
-    }
-
-    /// The `[lo, hi)` bounds of bin `idx`.
-    pub fn bin_bounds(&self, idx: usize) -> (f64, f64) {
-        let w = (self.hi - self.lo) / self.bins.len() as f64;
-        (self.lo + w * idx as f64, self.lo + w * (idx + 1) as f64)
-    }
-}
-
-/// Integral of a piecewise-constant function of time.
-///
-/// Feed it level changes with [`TimeWeighted::set`]; query the time-weighted
-/// mean over the observed span with [`TimeWeighted::mean`]. Used for average
-/// wait-queue depth and processor utilisation.
-#[derive(Debug, Clone)]
-pub struct TimeWeighted {
-    start: Option<Time>,
-    last_t: Time,
-    level: f64,
-    integral: f64,
-}
-
-impl TimeWeighted {
-    /// Creates an accumulator; the first `set` call defines the origin.
-    pub fn new() -> Self {
-        TimeWeighted {
-            start: None,
-            last_t: Time::ZERO,
-            level: 0.0,
-            integral: 0.0,
-        }
-    }
-
-    /// Sets the level to `value` from time `t` onwards.
-    ///
-    /// Calls must have non-decreasing `t`; a call at the same `t` simply
-    /// replaces the level.
-    pub fn set(&mut self, t: Time, value: f64) {
-        match self.start {
-            None => {
-                self.start = Some(t);
-                self.last_t = t;
-                self.level = value;
-            }
-            Some(_) => {
-                debug_assert!(t >= self.last_t, "TimeWeighted::set must be monotone");
-                self.integral += self.level * (t.saturating_since(self.last_t)) as f64;
-                self.last_t = t;
-                self.level = value;
-            }
-        }
-    }
-
-    /// Integral of the level from the origin up to `end`.
-    pub fn integral_to(&self, end: Time) -> f64 {
-        self.integral + self.level * (end.saturating_since(self.last_t)) as f64
-    }
-
-    /// Time-weighted mean level over `[origin, end]`.
-    pub fn mean(&self, end: Time) -> f64 {
-        match self.start {
-            None => 0.0,
-            Some(s) => {
-                let span = end.saturating_since(s) as f64;
-                // audit:allow(N1): span is an integer difference cast to f64; zero is exact
-                if span == 0.0 {
-                    self.level
-                } else {
-                    self.integral_to(end) / span
-                }
-            }
-        }
-    }
-}
-
-impl Default for TimeWeighted {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 /// Returns the `q`-quantile (0 ≤ q ≤ 1) of a **sorted** slice using linear
 /// interpolation, or `None` if the slice is empty.
 pub fn quantile_sorted(sorted: &[f64], q: f64) -> Option<f64> {
@@ -358,7 +197,6 @@ mod tests {
         assert_eq!(s.count(), 8);
         assert!((s.mean() - 5.0).abs() < 1e-12);
         assert!((s.variance() - 4.0).abs() < 1e-12);
-        assert!((s.stddev() - 2.0).abs() < 1e-12);
         assert_eq!(s.min(), Some(2.0));
         assert_eq!(s.max(), Some(9.0));
         assert!((s.sum() - 40.0).abs() < 1e-12);
@@ -462,59 +300,6 @@ mod tests {
         e.merge(&a);
         assert_eq!(e.count(), 2);
         assert!((e.mean() - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn histogram_bins_and_flows() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        for x in [-1.0, 0.0, 1.9, 2.0, 9.99, 10.0, 42.0] {
-            h.push(x);
-        }
-        assert_eq!(h.underflow(), 1);
-        assert_eq!(h.overflow(), 2);
-        assert_eq!(h.bins(), &[2, 1, 0, 0, 1]);
-        assert_eq!(h.total(), 7);
-        assert_eq!(h.bin_bounds(0), (0.0, 2.0));
-        assert_eq!(h.bin_bounds(4), (8.0, 10.0));
-    }
-
-    #[test]
-    fn histogram_counts_nan_in_dedicated_bucket() {
-        let mut h = Histogram::new(0.0, 10.0, 5);
-        h.push(f64::NAN);
-        h.push(-f64::NAN);
-        h.push(1.0);
-        h.push(f64::INFINITY);
-        h.push(f64::NEG_INFINITY);
-        assert_eq!(h.nan(), 2, "NaN must not be miscounted as bin 0");
-        assert_eq!(h.bins(), &[1, 0, 0, 0, 0]);
-        assert_eq!(h.overflow(), 1, "+inf is an overflow");
-        assert_eq!(h.underflow(), 1, "-inf is an underflow");
-        assert_eq!(h.total(), 5, "total reports every observation");
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one bin")]
-    fn histogram_rejects_zero_bins() {
-        let _ = Histogram::new(0.0, 1.0, 0);
-    }
-
-    #[test]
-    fn time_weighted_mean() {
-        let mut tw = TimeWeighted::new();
-        tw.set(Time(0), 2.0); // level 2 on [0,10)
-        tw.set(Time(10), 4.0); // level 4 on [10,20)
-        assert!((tw.mean(Time(20)) - 3.0).abs() < 1e-12);
-        assert!((tw.integral_to(Time(20)) - 60.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn time_weighted_empty_and_instant() {
-        let tw = TimeWeighted::new();
-        assert_eq!(tw.mean(Time(100)), 0.0);
-        let mut tw = TimeWeighted::new();
-        tw.set(Time(5), 7.0);
-        assert_eq!(tw.mean(Time(5)), 7.0);
     }
 
     #[test]

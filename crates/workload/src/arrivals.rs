@@ -66,17 +66,6 @@ impl DailyCycle {
         (self.day_night_ratio * rn, rn)
     }
 
-    /// Instantaneous rate at absolute time `t` (seconds).
-    pub fn rate_at(&self, t: f64) -> f64 {
-        let (rd, rn) = self.rates();
-        let phase = t.rem_euclid(self.period as f64);
-        if phase < self.day_fraction * self.period as f64 {
-            rd
-        } else {
-            rn
-        }
-    }
-
     /// Advances from absolute time `t` until `target` units of integrated
     /// rate have elapsed; returns the new absolute time.
     fn advance(&self, mut t: f64, mut target: f64) -> f64 {
@@ -153,9 +142,6 @@ mod tests {
         let (rd, rn) = d.rates();
         assert!((rd / rn - 3.0).abs() < 1e-12);
         assert!(((0.5 * rd + 0.5 * rn) - 0.01).abs() < 1e-12);
-        assert_eq!(d.rate_at(0.0), rd);
-        assert_eq!(d.rate_at(43_200.5), rn);
-        assert_eq!(d.rate_at(86_400.0 + 10.0), rd);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! energy *and* better service?"
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
+use bsld::core::scenario::{PolicySpec, PowerSpec};
 use bsld::core::{PowerAwareConfig, Simulator, WqThreshold};
 use bsld::metrics::TextTable;
 use bsld::par::par_map;
@@ -34,7 +35,8 @@ fn main() {
     };
     let results = par_map(sizes.to_vec(), bsld::par::default_threads(), |pct| {
         let sim = Simulator::paper_default(&w.cluster_name, w.cpus).enlarged(pct);
-        (pct, sim.run_power_aware(&w.jobs, &cfg).unwrap().metrics)
+        let res = sim.run(&w.jobs, &PolicySpec::from(cfg), &PowerSpec::off());
+        (pct, res.unwrap().run.metrics)
     });
 
     let mut t = TextTable::new(vec![

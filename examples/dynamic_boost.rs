@@ -10,6 +10,7 @@
 //! DVFS-induced queueing is the dominant cost.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
+use bsld::core::scenario::{PolicySpec, PowerSpec};
 use bsld::core::{PowerAwareConfig, Simulator, WqThreshold};
 use bsld::metrics::TextTable;
 use bsld::par::par_map;
@@ -35,7 +36,8 @@ fn main() {
             None => sim0.clone(),
             Some(limit) => sim0.clone().with_boost(limit),
         };
-        let m = sim.run_power_aware(&w.jobs, &cfg).unwrap().metrics;
+        let res = sim.run(&w.jobs, &PolicySpec::from(cfg), &PowerSpec::off());
+        let m = res.unwrap().run.metrics;
         (boost, m)
     });
 

@@ -8,6 +8,7 @@
 //! `workload` ∈ {ctc, sdsc, blue, thunder, atlas}; default `blue`.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
+use bsld::core::scenario::{PolicySpec, PowerSpec};
 use bsld::core::{PowerAwareConfig, Simulator, WqThreshold};
 use bsld::metrics::TextTable;
 use bsld::workload::profiles::TraceProfile;
@@ -54,7 +55,10 @@ fn main() {
                 bsld_threshold: bsld_th,
                 wq_threshold: wq,
             };
-            let run = sim.run_power_aware(&w.jobs, &cfg).unwrap();
+            let run = sim
+                .run(&w.jobs, &PolicySpec::from(cfg), &PowerSpec::off())
+                .unwrap()
+                .run;
             t.row(vec![
                 cfg.label(),
                 format!(

@@ -11,9 +11,9 @@
 //! DVFS policy — and prints the ledger-level power picture of each.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
-use bsld::core::{PowerAwareConfig, PowerCapConfig, Simulator, WqThreshold};
+use bsld::core::scenario::{PolicySpec, PowerSpec, SleepSpec};
+use bsld::core::{Simulator, WqThreshold};
 use bsld::metrics::TextTable;
-use bsld::powercap::SleepConfig;
 use bsld::workload::profiles::TraceProfile;
 
 fn main() {
@@ -24,26 +24,28 @@ fn main() {
     let w = TraceProfile::sdsc_blue().generate(2010, 3000);
     let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
 
-    let dvfs = PowerAwareConfig {
-        bsld_threshold: 2.0,
-        wq_threshold: WqThreshold::NoLimit,
+    let dvfs = PolicySpec::BsldThreshold {
+        th: 2.0,
+        wq: WqThreshold::NoLimit,
     };
-    let cases: Vec<(&str, PowerCapConfig)> = vec![
-        ("uncapped baseline", PowerCapConfig::observe_only()),
-        (
-            "sleep states only",
-            PowerCapConfig::observe_only().with_sleep(SleepConfig::paper_default()),
-        ),
-        (
-            "hard cap",
-            PowerCapConfig::hard(cap).with_sleep(SleepConfig::paper_default()),
-        ),
-        (
-            "hard cap + DVFS 2/NO",
-            PowerCapConfig::hard(cap)
-                .with_sleep(SleepConfig::paper_default())
-                .with_policy(dvfs),
-        ),
+    let observe = PowerSpec {
+        observe: true,
+        ..PowerSpec::off()
+    };
+    let sleep = PowerSpec {
+        sleep: SleepSpec::Paper,
+        ..observe.clone()
+    };
+    let capped = PowerSpec {
+        cap_fraction: Some(cap),
+        ..sleep.clone()
+    };
+    let base = PolicySpec::Baseline;
+    let cases = [
+        ("uncapped baseline", base, observe),
+        ("sleep states only", base, sleep),
+        ("hard cap", base, capped.clone()),
+        ("hard cap + DVFS 2/NO", dvfs, capped),
     ];
 
     println!(
@@ -63,8 +65,8 @@ fn main() {
         "wakes",
     ]);
     let mut base_energy = None;
-    for (name, cfg) in &cases {
-        let r = match sim.run_power_capped(&w.jobs, cfg) {
+    for (name, policy, power) in &cases {
+        let r = match sim.run(&w.jobs, policy, power) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!(
@@ -73,15 +75,16 @@ fn main() {
                 std::process::exit(2);
             }
         };
-        let base = *base_energy.get_or_insert(r.power.energy);
+        let p = r.power.expect("instrumented runs report power");
+        let base = *base_energy.get_or_insert(p.energy);
         t.row(vec![
             name.to_string(),
-            format!("{:.3}x", r.power.energy / base),
-            format!("{:.0}", r.power.peak),
-            format!("{:.0}", r.power.average),
+            format!("{:.3}x", p.energy / base),
+            format!("{:.0}", p.peak),
+            format!("{:.0}", p.average),
             format!("{:.2}", r.run.metrics.avg_bsld),
-            r.power.cap.deferrals.to_string(),
-            r.power.sleep.wakes.to_string(),
+            p.cap.deferrals.to_string(),
+            p.sleep.wakes.to_string(),
         ]);
     }
     println!("{}", t.render());

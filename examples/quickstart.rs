@@ -10,6 +10,7 @@
 //! prints the energy/performance trade-off.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
+use bsld::core::scenario::{PolicySpec, PowerSpec};
 use bsld::core::{PowerAwareConfig, Simulator, WqThreshold};
 use bsld::metrics::TextTable;
 use bsld::workload::profiles::TraceProfile;
@@ -36,8 +37,9 @@ fn main() {
         wq_threshold: WqThreshold::NoLimit,
     };
     let dvfs = sim
-        .run_power_aware(&workload.jobs, &cfg)
-        .expect("workload fits the machine");
+        .run(&workload.jobs, &PolicySpec::from(cfg), &PowerSpec::off())
+        .expect("workload fits the machine")
+        .run;
 
     let mut t = TextTable::new(vec!["metric", "EASY (no DVFS)", "power-aware 2/NO"]);
     t.row(vec![

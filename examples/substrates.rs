@@ -12,6 +12,7 @@
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 use bsld::cluster::SelectionPolicy;
+use bsld::core::scenario::{PolicySpec, PowerSpec};
 use bsld::core::{PowerAwareConfig, Simulator};
 use bsld::metrics::TextTable;
 use bsld::par::par_map;
@@ -60,11 +61,13 @@ fn main() {
             Variant::Fcfs(d) => (base.without_backfill(), d),
             Variant::Selection(sel, d) => (base.with_selection(sel), d),
         };
-        if dvfs {
-            sim.run_power_aware(&w.jobs, &cfg).unwrap().metrics
+        let policy = if dvfs {
+            PolicySpec::from(cfg)
         } else {
-            sim.run_baseline(&w.jobs).unwrap().metrics
-        }
+            PolicySpec::Baseline
+        };
+        let res = sim.run(&w.jobs, &policy, &PowerSpec::off());
+        res.unwrap().run.metrics
     });
 
     let easy_base = &results[0];

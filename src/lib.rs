@@ -33,27 +33,16 @@
 //!
 //! ## Quickstart
 //!
-//! ```
-//! use bsld::core::{PowerAwareConfig, Simulator, WqThreshold};
-//! use bsld::workload::profiles::TraceProfile;
-//!
-//! // A small calibrated workload (SDSC-Blue-like), 200 jobs, seed 42.
-//! let workload = TraceProfile::sdsc_blue().scaled_cpus(64).generate(42, 200);
-//! let sim = Simulator::paper_default(&workload.cluster_name, workload.cpus);
-//!
-//! // Baseline: EASY backfilling, no DVFS.
-//! let base = sim.run_baseline(&workload.jobs).unwrap();
-//!
-//! // The paper's policy: BSLD threshold 2.0, unlimited wait queue.
-//! let cfg = PowerAwareConfig { bsld_threshold: 2.0, wq_threshold: WqThreshold::NoLimit };
-//! let dvfs = sim.run_power_aware(&workload.jobs, &cfg).unwrap();
-//!
-//! assert!(dvfs.metrics.energy.computational <= base.metrics.energy.computational);
-//! ```
+//! See the README's Quickstart: every run goes through
+//! [`core::Simulator::run`]. The README's code blocks compile and run as
+//! doctests of this crate.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 #![cfg_attr(test, allow(clippy::unwrap_used, clippy::float_cmp))]
+// The README's code blocks run as crate-level doctests, so a README that
+// quotes a deleted API fails `cargo test`.
+#![cfg_attr(doctest, doc = include_str!("../README.md"))]
 pub use bsld_cluster as cluster;
 pub use bsld_core as core;
 pub use bsld_metrics as metrics;

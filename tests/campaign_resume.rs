@@ -1,17 +1,20 @@
 //! Campaign-layer integration tests: the resume-equivalence guarantee
 //! (an interrupted campaign, resumed, produces byte-identical final
 //! results), replication aggregation against hand-computed statistics,
-//! and cell-ID stability.
+//! cell-ID stability, and the manifest row as a lossless copy of the
+//! per-run summary.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
 use std::path::PathBuf;
 
 use bsld::core::campaign::{
-    read_manifest, run_campaign, CampaignOptions, CellId, RepRow, MANIFEST_FILE, RESULTS_FILE,
+    read_manifest, run_campaign, Campaign, CampaignOptions, CellId, RepRow, MANIFEST_FILE,
+    RESULTS_FILE,
 };
 use bsld::core::scenario::{
     KnobValue, OutputSpec, ProfileName, Scenario, ScenarioSet, SweepAxis, WorkloadSpec,
 };
+use bsld::core::{sweep_report, CellOutcome};
 
 fn tmp_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!("bsld_campaign_{tag}_{}", std::process::id()));
@@ -334,4 +337,86 @@ fn progress_reports_every_unit() {
     assert_eq!(out.resumed, 4);
     assert_eq!(seen.lock().unwrap().as_slice(), &[(4, 4)]);
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every field of a summary as bits, so `-0.0`/`NaN` cannot hide behind
+/// float equality.
+fn summary_bits(o: &CellOutcome) -> Vec<Option<u64>> {
+    let reals = [o.avg_bsld, o.avg_wait_s, o.energy_comp, o.energy_idle];
+    let opts = [
+        o.energy_ledger,
+        o.peak_over_budget,
+        o.energy_cpu,
+        o.energy_mem,
+        o.energy_net,
+    ];
+    [Some(o.jobs), Some(o.reduced_jobs)]
+        .into_iter()
+        .chain(reals.map(|x| Some(x.to_bits())))
+        .chain(opts.map(|x| x.map(f64::to_bits)))
+        .collect()
+}
+
+/// `tests/golden/parent_manifest.csv` holds rep 0 of four specs as written
+/// by the build before `CellOutcome` replaced the campaign's own metrics
+/// row type: a plain run, a hard cap with sleep states, a multi-rail
+/// (`model = cubic`) run and an infeasible cap. Each row must parse and
+/// re-render byte for byte, a fresh run must reproduce its numbers
+/// bit for bit through `from_result` → `to_csv_line` → `parse_line`, and
+/// `sweep_report` must render the same bytes from the run's summary and
+/// from the parsed row.
+#[test]
+fn manifest_rows_are_lossless_cell_outcomes() {
+    let path =
+        std::path::Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/golden/parent_manifest.csv");
+    let text = std::fs::read_to_string(path).unwrap();
+    let base = "workload = synthetic\nprofile = blue\njobs = 100\nseed = 2010\n\
+                scale_cpus = 64\npolicy = bsld:2/NO\nreplications = 2\n";
+    // (extra spec lines, ledger energy?, peak/budget?, per-rail energy?)
+    let cases = [
+        ("", false, false, false),
+        ("cap = 0.7\nsleep = paper\n", true, true, false),
+        ("model = cubic\n", true, false, true),
+        ("cap = 0.05\n", false, false, false),
+    ];
+    let lines: Vec<&str> = text.lines().skip(1).collect();
+    assert_eq!(lines.len(), cases.len());
+    let (mut of_run, mut of_row) = (Vec::new(), Vec::new());
+    for (line, (extra, ledger, budget, rails)) in lines.into_iter().zip(cases) {
+        let parent = RepRow::parse_line(line).unwrap();
+        assert_eq!(parent.to_csv_line(), line, "parent row re-renders");
+        let spec = format!("scenario = {}\n{base}{extra}", parent.name);
+        let campaign = Campaign::plan(&ScenarioSet::parse(&spec).unwrap()).unwrap();
+        let (cell, unit) = (&campaign.cells[0], &campaign.units[0]);
+        assert_eq!((cell.id, unit.rep), (parent.cell, parent.rep));
+        let res = match unit.scenario.run() {
+            Ok(res) => res,
+            Err(e) => {
+                let failed = RepRow::from_failure(cell, unit, e.to_string());
+                assert_eq!(failed, parent, "{}", parent.name);
+                of_run.push((parent.name.clone(), Err(e.to_string())));
+                of_row.push((parent.name, Err(e.to_string())));
+                continue;
+            }
+        };
+        let want = CellOutcome::of(&res);
+        let row = RepRow::parse_line(&RepRow::from_result(cell, unit, &res).to_csv_line()).unwrap();
+        let got = row.metrics().unwrap();
+        assert_eq!(summary_bits(got), summary_bits(&want), "{}", parent.name);
+        let from_parent = parent.metrics().unwrap();
+        assert_eq!(
+            summary_bits(from_parent),
+            summary_bits(&want),
+            "{}",
+            parent.name
+        );
+        assert_eq!(want.energy_ledger.is_some(), ledger, "{}", parent.name);
+        assert_eq!(want.peak_over_budget.is_some(), budget, "{}", parent.name);
+        assert_eq!(want.energy_cpu.is_some(), rails, "{}", parent.name);
+        of_run.push((parent.name.clone(), Ok(want)));
+        of_row.push((parent.name, Ok(got.clone())));
+    }
+    let report = sweep_report(&of_run);
+    assert_eq!(report, sweep_report(&of_row));
+    assert!(report.csv.contains("energy_cpu,energy_mem,energy_net"));
 }

@@ -5,10 +5,13 @@
 //! how many worker threads the sweep uses.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
+mod support;
+
 use bsld::core::experiments::{grid, table1, ExpOptions};
 use bsld::core::{PowerAwareConfig, Simulator};
 use bsld::par::par_map;
 use bsld::workload::profiles::TraceProfile;
+use support::dvfs;
 
 #[test]
 fn workload_generation_reproducible() {
@@ -28,14 +31,8 @@ fn seeds_actually_differ() {
 fn simulation_metrics_reproducible() {
     let w = TraceProfile::sdsc_blue().scaled_cpus(64).generate(17, 400);
     let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let m1 = sim
-        .run_power_aware(&w.jobs, &PowerAwareConfig::medium())
-        .unwrap()
-        .metrics;
-    let m2 = sim
-        .run_power_aware(&w.jobs, &PowerAwareConfig::medium())
-        .unwrap()
-        .metrics;
+    let m1 = dvfs(&sim, &w.jobs, PowerAwareConfig::medium()).metrics;
+    let m2 = dvfs(&sim, &w.jobs, PowerAwareConfig::medium()).metrics;
     assert_eq!(m1.avg_bsld.to_bits(), m2.avg_bsld.to_bits());
     assert_eq!(
         m1.energy.computational.to_bits(),

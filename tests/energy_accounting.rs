@@ -4,11 +4,14 @@
 //! the schedule; these tests recompute them independently and compare.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
+mod support;
+
 use bsld::cluster::GearSet;
 use bsld::core::{PowerAwareConfig, Simulator, WqThreshold};
 use bsld::model::GearId;
 use bsld::power::{BetaModel, PaperDvfs};
 use bsld::workload::profiles::TraceProfile;
+use support::dvfs;
 
 #[test]
 fn baseline_energy_equals_area_times_top_power() {
@@ -33,15 +36,14 @@ fn baseline_energy_equals_area_times_top_power() {
 fn policy_energy_recomputable_from_outcomes() {
     let w = TraceProfile::sdsc_blue().scaled_cpus(64).generate(33, 400);
     let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let res = sim
-        .run_power_aware(
-            &w.jobs,
-            &PowerAwareConfig {
-                bsld_threshold: 3.0,
-                wq_threshold: WqThreshold::NoLimit,
-            },
-        )
-        .unwrap();
+    let res = dvfs(
+        &sim,
+        &w.jobs,
+        PowerAwareConfig {
+            bsld_threshold: 3.0,
+            wq_threshold: WqThreshold::NoLimit,
+        },
+    );
     let pm = PaperDvfs::paper(GearSet::paper());
     let pm_ref = &pm;
     let manual: f64 = res
@@ -78,15 +80,14 @@ fn idle_energy_identity() {
 fn dilated_runtime_matches_beta_model_per_job() {
     let w = TraceProfile::sdsc_blue().scaled_cpus(48).generate(37, 250);
     let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let res = sim
-        .run_power_aware(
-            &w.jobs,
-            &PowerAwareConfig {
-                bsld_threshold: 3.0,
-                wq_threshold: WqThreshold::NoLimit,
-            },
-        )
-        .unwrap();
+    let res = dvfs(
+        &sim,
+        &w.jobs,
+        PowerAwareConfig {
+            bsld_threshold: 3.0,
+            wq_threshold: WqThreshold::NoLimit,
+        },
+    );
     let tm = BetaModel::new(GearSet::paper());
     for o in &res.outcomes {
         if o.phases.len() == 1 {
@@ -108,9 +109,7 @@ fn dilated_runtime_matches_beta_model_per_job() {
 fn bsld_metric_recomputable_from_outcomes() {
     let w = TraceProfile::ctc().scaled_cpus(32).generate(39, 300);
     let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let res = sim
-        .run_power_aware(&w.jobs, &PowerAwareConfig::medium())
-        .unwrap();
+    let res = dvfs(&sim, &w.jobs, PowerAwareConfig::medium());
     let manual: f64 =
         res.outcomes.iter().map(|o| o.bsld(600)).sum::<f64>() / res.outcomes.len() as f64;
     assert!((res.metrics.avg_bsld / manual - 1.0).abs() < 1e-12);
@@ -143,10 +142,7 @@ fn utilization_in_unit_interval_and_consistent() {
 fn gear_histogram_sums_to_job_count() {
     let w = TraceProfile::sdsc_blue().scaled_cpus(64).generate(45, 350);
     let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let m = sim
-        .run_power_aware(&w.jobs, &PowerAwareConfig::medium())
-        .unwrap()
-        .metrics;
+    let m = dvfs(&sim, &w.jobs, PowerAwareConfig::medium()).metrics;
     let total: usize = m.gear_histogram.iter().sum();
     assert_eq!(total, w.jobs.len());
     // Reduced = everything not initially at top... unless boosted (no boost

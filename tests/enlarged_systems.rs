@@ -2,9 +2,12 @@
 //! scale.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
+mod support;
+
 use bsld::core::experiments::{enlarged, ExpOptions};
 use bsld::core::{PowerAwareConfig, Simulator, WqThreshold};
 use bsld::workload::profiles::TraceProfile;
+use support::dvfs;
 
 #[test]
 fn enlarging_monotonically_improves_bsld_under_dvfs() {
@@ -15,7 +18,7 @@ fn enlarging_monotonically_improves_bsld_under_dvfs() {
     let mut last = f64::INFINITY;
     for pct in [0u32, 20, 50, 100] {
         let sim = Simulator::paper_default(&w.cluster_name, w.cpus).enlarged(pct);
-        let m = sim.run_power_aware(&w.jobs, &cfg).unwrap().metrics;
+        let m = dvfs(&sim, &w.jobs, cfg).metrics;
         assert!(
             m.avg_bsld <= last * 1.02,
             "+{pct}%: BSLD {} should not exceed previous {last}",
@@ -32,13 +35,14 @@ fn computational_energy_decreases_with_size() {
     let w = TraceProfile::ctc().scaled_cpus(64).generate(23, 500);
     let cfg = PowerAwareConfig::medium();
     let energy = |pct: u32| {
-        Simulator::paper_default(&w.cluster_name, w.cpus)
-            .enlarged(pct)
-            .run_power_aware(&w.jobs, &cfg)
-            .unwrap()
-            .metrics
-            .energy
-            .computational
+        dvfs(
+            &Simulator::paper_default(&w.cluster_name, w.cpus).enlarged(pct),
+            &w.jobs,
+            cfg,
+        )
+        .metrics
+        .energy
+        .computational
     };
     let e0 = energy(0);
     let e50 = energy(50);
@@ -64,12 +68,13 @@ fn idle_aware_energy_eventually_grows_with_size() {
         .generate(25, 400);
     let cfg = PowerAwareConfig::medium();
     let run = |pct: u32| {
-        Simulator::paper_default(&w.cluster_name, w.cpus)
-            .enlarged(pct)
-            .run_power_aware(&w.jobs, &cfg)
-            .unwrap()
-            .metrics
-            .energy
+        dvfs(
+            &Simulator::paper_default(&w.cluster_name, w.cpus).enlarged(pct),
+            &w.jobs,
+            cfg,
+        )
+        .metrics
+        .energy
     };
     let e0 = run(0);
     let e125 = run(125);
@@ -117,11 +122,7 @@ fn enlarged_dvfs_beats_baseline_energy_at_20_percent() {
     };
     let sim0 = Simulator::paper_default(&w.cluster_name, w.cpus);
     let base = sim0.run_baseline(&w.jobs).unwrap().metrics;
-    let dvfs20 = sim0
-        .enlarged(20)
-        .run_power_aware(&w.jobs, &cfg)
-        .unwrap()
-        .metrics;
+    let dvfs20 = dvfs(&sim0.enlarged(20), &w.jobs, cfg).metrics;
     let norm = dvfs20.energy.normalized_computational(&base.energy);
     assert!(
         norm < 0.95,
@@ -130,11 +131,7 @@ fn enlarged_dvfs_beats_baseline_energy_at_20_percent() {
     // The performance crossover: by +50% the power-aware run must beat the
     // original-size baseline (the paper reports the crossover at +10–20 %;
     // our synthetic SDSC-Blue sits closer to saturation and crosses later).
-    let dvfs50 = sim0
-        .enlarged(50)
-        .run_power_aware(&w.jobs, &cfg)
-        .unwrap()
-        .metrics;
+    let dvfs50 = dvfs(&sim0.enlarged(50), &w.jobs, cfg).metrics;
     assert!(
         dvfs50.avg_bsld <= base.avg_bsld,
         "+50% DVFS must beat the original baseline: {} vs {}",

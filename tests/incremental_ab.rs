@@ -13,12 +13,15 @@
 //! (ledger energy, draw series, cap and sleep counters) must match.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
-use bsld::core::{PowerAwareConfig, PowerCapConfig, PowerCappedResult, Simulator, WqThreshold};
+mod support;
+
+use bsld::core::scenario::{PolicySpec, PowerSpec, SleepSpec};
+use bsld::core::{PowerAwareConfig, ScenarioResult, Simulator, WqThreshold};
 use bsld::model::Job;
-use bsld::powercap::SleepConfig;
 use bsld::sched::{PassStats, SimError};
 use bsld::simkernel::Time;
 use bsld::workload::profiles::TraceProfile;
+use support::dvfs;
 
 const AB_JOBS: usize = 250;
 const AB_SEED: u64 = 2010;
@@ -56,8 +59,8 @@ fn grid_outcomes_bit_identical() {
                     bsld_threshold: bt,
                     wq_threshold: wq,
                 };
-                let a = sim.run_power_aware(&w.jobs, &cfg).unwrap();
-                let b = oracle.run_power_aware(&w.jobs, &cfg).unwrap();
+                let a = dvfs(&sim, &w.jobs, cfg);
+                let b = dvfs(&oracle, &w.jobs, cfg);
                 assert_eq!(
                     a.outcomes,
                     b.outcomes,
@@ -84,12 +87,8 @@ fn enlarged_outcomes_bit_identical() {
                     wq_threshold: wq,
                 };
                 let sim = base.enlarged(pct);
-                let a = sim.run_power_aware(&w.jobs, &cfg).unwrap();
-                let b = sim
-                    .clone()
-                    .with_full_rescan()
-                    .run_power_aware(&w.jobs, &cfg)
-                    .unwrap();
+                let a = dvfs(&sim, &w.jobs, cfg);
+                let b = dvfs(&sim.clone().with_full_rescan(), &w.jobs, cfg);
                 assert_eq!(
                     a.outcomes,
                     b.outcomes,
@@ -166,8 +165,8 @@ fn same_instant_bursts_under_wq_gates_bit_identical() {
             bsld_threshold,
             wq_threshold: WqThreshold::Limit(wq),
         };
-        let a = sim.run_power_aware(&jobs, &cfg).unwrap();
-        let b = oracle.run_power_aware(&jobs, &cfg).unwrap();
+        let a = dvfs(&sim, &jobs, cfg);
+        let b = dvfs(&oracle, &jobs, cfg);
         assert_eq!(a.outcomes, b.outcomes, "diverged at {}", cfg.label());
         assert!(
             a.pass_stats.passes_skipped > 0,
@@ -189,8 +188,8 @@ fn capped_policies() -> [PowerAwareConfig; 2] {
 
 /// Everything a capped run reports, compared bit for bit.
 fn assert_same_capped_run(
-    a: &Result<PowerCappedResult, SimError>,
-    b: &Result<PowerCappedResult, SimError>,
+    a: &Result<ScenarioResult, SimError>,
+    b: &Result<ScenarioResult, SimError>,
     what: &str,
 ) {
     let (a, b) = match (a, b) {
@@ -201,7 +200,7 @@ fn assert_same_capped_run(
         }
     };
     assert_eq!(a.run.outcomes, b.run.outcomes, "{what}: outcomes");
-    let (pa, pb) = (&a.power, &b.power);
+    let (pa, pb) = (a.power.as_ref().unwrap(), b.power.as_ref().unwrap());
     assert_eq!(
         pa.energy.to_bits(),
         pb.energy.to_bits(),
@@ -232,11 +231,14 @@ fn capped_runs_bit_identical_with_identical_power_reports() {
         let oracle = sim.clone().with_full_rescan();
         for cap in [0.45, 0.8] {
             for policy in capped_policies() {
-                let cfg = PowerCapConfig::hard(cap)
-                    .with_sleep(SleepConfig::paper_default())
-                    .with_policy(policy);
-                let a = sim.run_power_capped(&w.jobs, &cfg);
-                let b = oracle.run_power_capped(&w.jobs, &cfg);
+                let cfg = PowerSpec {
+                    cap_fraction: Some(cap),
+                    sleep: SleepSpec::Paper,
+                    ..PowerSpec::off()
+                };
+                let spec = PolicySpec::from(policy);
+                let a = sim.run(&w.jobs, &spec, &cfg);
+                let b = oracle.run(&w.jobs, &spec, &cfg);
                 let what = format!("{} cap {cap} {}", w.cluster_name, policy.label());
                 assert_same_capped_run(&a, &b, &what);
                 if let (Ok(a), Ok(b)) = (&a, &b) {
@@ -259,15 +261,15 @@ fn pass_counters_are_pinned_on_a_small_fixture() {
         bsld_threshold: 2.0,
         wq_threshold: WqThreshold::Limit(4),
     };
-    let capped = PowerCapConfig::hard(0.8)
-        .with_sleep(SleepConfig::paper_default())
-        .with_policy(PowerAwareConfig {
-            bsld_threshold: 2.0,
-            wq_threshold: WqThreshold::NoLimit,
-        });
+    let capped = PowerSpec {
+        cap_fraction: Some(0.8),
+        sleep: SleepSpec::Paper,
+        ..PowerSpec::off()
+    };
+    let medium = PolicySpec::from(PowerAwareConfig::medium());
     let baseline = sim.run_baseline(&jobs).unwrap().pass_stats;
-    let wq = sim.run_power_aware(&jobs, &wq4).unwrap().pass_stats;
-    let cap = sim.run_power_capped(&jobs, &capped).unwrap().run.pass_stats;
+    let wq = dvfs(&sim, &jobs, wq4).pass_stats;
+    let cap = sim.run(&jobs, &medium, &capped).unwrap().run.pass_stats;
     let stats = |passes, profile_rebuilds, passes_skipped| PassStats {
         passes,
         profile_rebuilds,

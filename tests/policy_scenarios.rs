@@ -5,10 +5,13 @@
 //! workloads.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
+mod support;
+
 use bsld::core::{PowerAwareConfig, Simulator, WqThreshold};
 use bsld::model::GearId;
 use bsld::sched::validate_schedule;
 use bsld::workload::profiles::TraceProfile;
+use support::dvfs;
 
 fn cfg(bsld: f64, wq: WqThreshold) -> PowerAwareConfig {
     PowerAwareConfig {
@@ -23,9 +26,7 @@ fn single_idle_job_runs_at_lowest_gear() {
     // is Coef(0.8 GHz) ≈ 1.94 ≤ 2 → the policy must pick gear 0.
     let w = TraceProfile::sdsc_blue().scaled_cpus(32).generate(1, 1);
     let sim = Simulator::paper_default("t", 32);
-    let res = sim
-        .run_power_aware(&w.jobs, &cfg(2.0, WqThreshold::NoLimit))
-        .unwrap();
+    let res = dvfs(&sim, &w.jobs, cfg(2.0, WqThreshold::NoLimit));
     assert_eq!(res.outcomes[0].gear, GearId(0));
     assert_eq!(res.metrics.reduced_jobs, 1);
 }
@@ -34,12 +35,8 @@ fn single_idle_job_runs_at_lowest_gear() {
 fn tight_threshold_reduces_fewer_jobs() {
     let w = TraceProfile::sdsc_blue().scaled_cpus(64).generate(3, 400);
     let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let strict = sim
-        .run_power_aware(&w.jobs, &cfg(1.2, WqThreshold::NoLimit))
-        .unwrap();
-    let loose = sim
-        .run_power_aware(&w.jobs, &cfg(3.0, WqThreshold::NoLimit))
-        .unwrap();
+    let strict = dvfs(&sim, &w.jobs, cfg(1.2, WqThreshold::NoLimit));
+    let loose = dvfs(&sim, &w.jobs, cfg(3.0, WqThreshold::NoLimit));
     assert!(
         strict.metrics.reduced_jobs <= loose.metrics.reduced_jobs,
         "{} > {}",
@@ -57,8 +54,7 @@ fn wq_limit_ordering_on_energy() {
     let w = TraceProfile::sdsc_blue().scaled_cpus(64).generate(5, 500);
     let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
     let e = |wq| {
-        sim.run_power_aware(&w.jobs, &cfg(2.0, wq))
-            .unwrap()
+        dvfs(&sim, &w.jobs, cfg(2.0, wq))
             .metrics
             .energy
             .computational
@@ -84,9 +80,7 @@ fn saturated_machine_gets_no_savings() {
         "workload must be saturated, got {}",
         base.metrics.avg_bsld
     );
-    let dvfs = sim
-        .run_power_aware(&w.jobs, &cfg(2.0, WqThreshold::Limit(16)))
-        .unwrap();
+    let dvfs = dvfs(&sim, &w.jobs, cfg(2.0, WqThreshold::Limit(16)));
     let norm = dvfs
         .metrics
         .energy
@@ -108,9 +102,7 @@ fn reduced_jobs_run_longer_but_schedule_stays_valid() {
         .scaled_cpus(128)
         .generate(9, 400);
     let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let res = sim
-        .run_power_aware(&w.jobs, &cfg(3.0, WqThreshold::NoLimit))
-        .unwrap();
+    let res = dvfs(&sim, &w.jobs, cfg(3.0, WqThreshold::NoLimit));
     validate_schedule(&res.outcomes, w.cpus).unwrap();
     let top = GearId(5);
     for o in &res.outcomes {
@@ -132,9 +124,7 @@ fn policy_never_starts_jobs_early_or_shrinks_work() {
     let w = TraceProfile::ctc().scaled_cpus(64).generate(11, 500);
     let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
     let base = sim.run_baseline(&w.jobs).unwrap();
-    let dvfs = sim
-        .run_power_aware(&w.jobs, &cfg(2.0, WqThreshold::NoLimit))
-        .unwrap();
+    let dvfs = dvfs(&sim, &w.jobs, cfg(2.0, WqThreshold::NoLimit));
     // Aggregate dilation: total busy time under DVFS >= baseline.
     assert!(dvfs.metrics.energy.busy_cpu_secs >= base.metrics.energy.busy_cpu_secs);
     // Per-job arrival sanity under both.
@@ -151,9 +141,7 @@ fn energy_saving_band_matches_paper_on_midload_workload() {
     let w = TraceProfile::sdsc_blue().generate(2010, 1500);
     let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
     let base = sim.run_baseline(&w.jobs).unwrap();
-    let dvfs = sim
-        .run_power_aware(&w.jobs, &PowerAwareConfig::medium())
-        .unwrap();
+    let dvfs = dvfs(&sim, &w.jobs, PowerAwareConfig::medium());
     let saving = 1.0
         - dvfs
             .metrics
@@ -174,12 +162,8 @@ fn boost_extension_bounds_wait_inflation() {
         .generate(13, 500);
     let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
     let c = cfg(3.0, WqThreshold::NoLimit);
-    let plain = sim.run_power_aware(&w.jobs, &c).unwrap();
-    let boosted = sim
-        .clone()
-        .with_boost(2)
-        .run_power_aware(&w.jobs, &c)
-        .unwrap();
+    let plain = dvfs(&sim, &w.jobs, c);
+    let boosted = dvfs(&sim.clone().with_boost(2), &w.jobs, c);
     validate_schedule(&boosted.outcomes, w.cpus).unwrap();
     assert!(
         boosted.metrics.avg_wait_secs <= plain.metrics.avg_wait_secs + 1.0,

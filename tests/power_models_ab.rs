@@ -17,11 +17,14 @@
 //!   mentions a model.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
+mod support;
+
 use bsld::cluster::GearSet;
 use bsld::core::scenario::{PowerModelSpec, ProfileName, Scenario, WorkloadSpec};
 use bsld::core::{PowerAwareConfig, Simulator, WqThreshold};
 use bsld::power::{Constant, Linear, PaperDvfs, PowerModel, Rail, RailKind, RailSet};
 use bsld::workload::profiles::TraceProfile;
+use support::dvfs;
 
 const AB_JOBS: usize = 250;
 const AB_SEED: u64 = 2010;
@@ -122,8 +125,8 @@ fn grid_outcomes_unchanged_by_rail_split() {
                     bsld_threshold: bt,
                     wq_threshold: wq,
                 };
-                let a = sim.run_power_aware(&w.jobs, &cfg).unwrap();
-                let b = railed.run_power_aware(&w.jobs, &cfg).unwrap();
+                let a = dvfs(&sim, &w.jobs, cfg);
+                let b = dvfs(&railed, &w.jobs, cfg);
                 assert_eq!(
                     a.outcomes,
                     b.outcomes,

@@ -4,9 +4,9 @@
 //! power-series writers.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
-use bsld::core::{PowerAwareConfig, PowerCapConfig, Simulator, WqThreshold};
+use bsld::core::scenario::{PolicySpec, PowerSpec, SleepSpec};
+use bsld::core::{PowerAwareConfig, Simulator, WqThreshold};
 use bsld::metrics::series::{resample_power_series, write_power_series};
-use bsld::powercap::SleepConfig;
 use bsld::sched::validate_schedule;
 use bsld::workload::profiles::TraceProfile;
 
@@ -14,18 +14,38 @@ fn workload() -> bsld::workload::Workload {
     TraceProfile::sdsc_blue().scaled_cpus(64).generate(47, 300)
 }
 
+/// A hard cap at `fraction` of peak draw.
+fn hard(fraction: f64) -> PowerSpec {
+    PowerSpec {
+        cap_fraction: Some(fraction),
+        ..PowerSpec::off()
+    }
+}
+
+/// A soft cap at `fraction` of peak draw with a queue-depth escape of 4.
+fn soft(fraction: f64) -> PowerSpec {
+    PowerSpec {
+        soft_wq_escape: Some(4),
+        ..hard(fraction)
+    }
+}
+
 #[test]
 fn ledger_cross_validates_against_energy_report() {
     let w = workload();
     let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    for cfg in [
-        PowerCapConfig::observe_only(),
-        PowerCapConfig::observe_only().with_policy(PowerAwareConfig::medium()),
+    let observe = PowerSpec {
+        observe: true,
+        ..PowerSpec::off()
+    };
+    for policy in [
+        PolicySpec::Baseline,
+        PolicySpec::from(PowerAwareConfig::medium()),
     ] {
-        let r = sim.run_power_capped(&w.jobs, &cfg).unwrap();
+        let r = sim.run(&w.jobs, &policy, &observe).unwrap();
         // With no sleeping, the ledger integral over [0, makespan] is the
         // idle-aware energy scenario computed post hoc from the outcomes.
-        let rel = r.power.energy / r.run.metrics.energy.with_idle;
+        let rel = r.power.unwrap().energy / r.run.metrics.energy.with_idle;
         assert!((rel - 1.0).abs() < 1e-9, "ledger/post-hoc = {rel}");
     }
 }
@@ -34,14 +54,20 @@ fn ledger_cross_validates_against_energy_report() {
 fn hard_cap_holds_for_dvfs_and_baseline() {
     let w = workload();
     let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    for (fraction, policy) in [(0.5, None), (0.7, Some(PowerAwareConfig::medium()))] {
-        let mut cfg = PowerCapConfig::hard(fraction).with_sleep(SleepConfig::paper_default());
-        cfg.policy = policy;
-        let r = sim.run_power_capped(&w.jobs, &cfg).unwrap();
+    for (fraction, policy) in [
+        (0.5, PolicySpec::Baseline),
+        (0.7, PolicySpec::from(PowerAwareConfig::medium())),
+    ] {
+        let cfg = PowerSpec {
+            sleep: SleepSpec::Paper,
+            ..hard(fraction)
+        };
+        let r = sim.run(&w.jobs, &policy, &cfg).unwrap();
         assert_eq!(r.run.outcomes.len(), w.jobs.len());
         validate_schedule(&r.run.outcomes, w.cpus).unwrap();
-        let budget = r.power.budget.unwrap();
-        for &(t, p) in &r.power.series {
+        let power = r.power.unwrap();
+        let budget = power.budget.unwrap();
+        for &(t, p) in &power.series {
             assert!(p <= budget + 1e-6, "{p} > {budget} at t={t}");
         }
     }
@@ -52,18 +78,18 @@ fn soft_cap_records_violations_instead_of_stalling() {
     let w = workload();
     let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
     // A budget at the idle floor is infeasible for a hard cap…
-    let hard = PowerCapConfig::hard(0.15);
-    assert!(sim.run_power_capped(&w.jobs, &hard).is_err());
+    assert!(sim
+        .run(&w.jobs, &PolicySpec::Baseline, &hard(0.15))
+        .is_err());
     // …but a soft cap escapes through the queue-depth hatch and finishes.
-    let soft = PowerCapConfig::hard(0.15).with_soft_escape(4);
-    let r = sim.run_power_capped(&w.jobs, &soft).unwrap();
+    let r = sim
+        .run(&w.jobs, &PolicySpec::Baseline, &soft(0.15))
+        .unwrap();
     assert_eq!(r.run.outcomes.len(), w.jobs.len());
-    assert!(r.power.cap.soft_violations > 0);
-    let budget = r.power.budget.unwrap();
-    assert!(
-        r.power.peak > budget,
-        "violations imply an over-budget peak"
-    );
+    let power = r.power.unwrap();
+    assert!(power.cap.soft_violations > 0);
+    let budget = power.budget.unwrap();
+    assert!(power.peak > budget, "violations imply an over-budget peak");
 }
 
 #[test]
@@ -71,23 +97,20 @@ fn conservative_mode_caps_without_stalling() {
     let w = workload();
     let sim = Simulator::paper_default(&w.cluster_name, w.cpus).with_conservative();
     // Hard cap with room for down-gearing: must complete and hold.
-    let hard = sim
-        .run_power_capped(
-            &w.jobs,
-            &PowerCapConfig::hard(0.5).with_policy(PowerAwareConfig::medium()),
-        )
-        .unwrap();
-    assert_eq!(hard.run.outcomes.len(), w.jobs.len());
-    let budget = hard.power.budget.unwrap();
-    for &(t, p) in &hard.power.series {
+    let medium = PolicySpec::from(PowerAwareConfig::medium());
+    let capped = sim.run(&w.jobs, &medium, &hard(0.5)).unwrap();
+    assert_eq!(capped.run.outcomes.len(), w.jobs.len());
+    let power = capped.power.unwrap();
+    let budget = power.budget.unwrap();
+    for &(t, p) in &power.series {
         assert!(p <= budget + 1e-6, "{p} > {budget} at t={t}");
     }
     // A soft cap never stalls, even at an infeasible budget.
-    let soft = sim
-        .run_power_capped(&w.jobs, &PowerCapConfig::hard(0.15).with_soft_escape(4))
+    let escaped = sim
+        .run(&w.jobs, &PolicySpec::Baseline, &soft(0.15))
         .unwrap();
-    assert_eq!(soft.run.outcomes.len(), w.jobs.len());
-    assert!(soft.power.cap.soft_violations > 0);
+    assert_eq!(escaped.run.outcomes.len(), w.jobs.len());
+    assert!(escaped.power.unwrap().cap.soft_violations > 0);
 }
 
 #[test]
@@ -97,16 +120,18 @@ fn boost_with_cap_and_sleep_keeps_ledger_within_makespan() {
     // of the run on their account.
     let w = workload();
     let sim = Simulator::paper_default(&w.cluster_name, w.cpus).with_boost(2);
-    let cfg = PowerCapConfig::hard(0.8)
-        .with_sleep(SleepConfig::paper_default())
-        .with_policy(PowerAwareConfig {
-            bsld_threshold: 3.0,
-            wq_threshold: WqThreshold::NoLimit,
-        });
-    let r = sim.run_power_capped(&w.jobs, &cfg).unwrap();
+    let policy = PolicySpec::BsldThreshold {
+        th: 3.0,
+        wq: WqThreshold::NoLimit,
+    };
+    let cfg = PowerSpec {
+        sleep: SleepSpec::Paper,
+        ..hard(0.8)
+    };
+    let r = sim.run(&w.jobs, &policy, &cfg).unwrap();
     assert_eq!(r.run.outcomes.len(), w.jobs.len());
     let makespan = r.run.metrics.makespan_secs;
-    let last = r.power.series.last().unwrap().0;
+    let last = r.power.unwrap().series.last().unwrap().0;
     assert!(
         last <= makespan,
         "series entry at t={last} past makespan {makespan}"
@@ -117,14 +142,13 @@ fn boost_with_cap_and_sleep_keeps_ledger_within_makespan() {
 fn capping_trades_bsld_for_power() {
     let w = workload();
     let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let loose = sim
-        .run_power_capped(&w.jobs, &PowerCapConfig::hard(1.0))
-        .unwrap();
+    let loose = sim.run(&w.jobs, &PolicySpec::Baseline, &hard(1.0)).unwrap();
     let tight = sim
-        .run_power_capped(&w.jobs, &PowerCapConfig::hard(0.45))
+        .run(&w.jobs, &PolicySpec::Baseline, &hard(0.45))
         .unwrap();
+    let peak = |r: &bsld::core::ScenarioResult| r.power.as_ref().unwrap().peak;
     assert!(
-        tight.power.peak <= loose.power.peak + 1e-9,
+        peak(&tight) <= peak(&loose) + 1e-9,
         "a tighter cap cannot raise peak draw"
     );
     assert!(
@@ -139,13 +163,13 @@ fn capping_trades_bsld_for_power() {
 fn power_series_is_a_well_formed_step_function() {
     let w = workload();
     let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let r = sim
-        .run_power_capped(
-            &w.jobs,
-            &PowerCapConfig::observe_only().with_sleep(SleepConfig::paper_default()),
-        )
-        .unwrap();
-    let series = &r.power.series;
+    let sleep = PowerSpec {
+        sleep: SleepSpec::Paper,
+        ..PowerSpec::off()
+    };
+    let r = sim.run(&w.jobs, &PolicySpec::Baseline, &sleep).unwrap();
+    let power = r.power.unwrap();
+    let series = &power.series;
     assert!(!series.is_empty());
     assert_eq!(series[0].0, 0, "series starts at t=0");
     for w2 in series.windows(2) {
@@ -175,8 +199,8 @@ fn power_series_is_a_well_formed_step_function() {
         .sum();
     // `energy` includes wake impulses, which the power-level series does
     // not carry; add them back for the comparison.
-    let exact_integral = r.power.energy;
-    let wake = r.power.sleep.wake_energy;
+    let exact_integral = power.energy;
+    let wake = power.sleep.wake_energy;
     assert!(
         ((coarse_integral + wake) / exact_integral - 1.0).abs() < 1e-9,
         "resampled integral {coarse_integral} + wake {wake} vs exact {exact_integral}"
@@ -203,8 +227,12 @@ fn deferred_head_on_idle_machine_wakes_once_per_sleep_transition() {
         50,
         50,
     )];
-    let cfg = PowerCapConfig::hard(2.5 / 16.0).with_sleep(SleepConfig::paper_default());
-    let r = sim.run_power_capped(&jobs, &cfg).unwrap();
+    let cfg = PowerSpec {
+        sleep: SleepSpec::Paper,
+        ..hard(2.5 / 16.0)
+    };
+    let r = sim.run(&jobs, &PolicySpec::Baseline, &cfg).unwrap();
+    let power = r.power.unwrap();
 
     assert_eq!(r.run.outcomes.len(), 1, "the run must not stall");
     let o = &r.run.outcomes[0];
@@ -217,7 +245,7 @@ fn deferred_head_on_idle_machine_wakes_once_per_sleep_transition() {
     // wake-up (start), and the completion. A duplicated retry event would
     // add a fourth; a swallowed one would stall.
     assert_eq!(r.run.pass_stats.passes, 3, "exactly one wake-up");
-    assert_eq!(r.power.cap.deferrals, 1, "one veto at arrival");
-    assert!(r.power.sleep.sleeps >= 1);
-    assert!(r.power.sleep.wakes >= 1);
+    assert_eq!(power.cap.deferrals, 1, "one veto at arrival");
+    assert!(power.sleep.sleeps >= 1);
+    assert!(power.sleep.wakes >= 1);
 }

@@ -3,10 +3,13 @@
 //! workload scale through the facade.
 
 #![allow(clippy::unwrap_used, clippy::float_cmp)]
+mod support;
+
 use bsld::cluster::SelectionPolicy;
 use bsld::core::{PowerAwareConfig, Simulator};
 use bsld::sched::validate_schedule;
 use bsld::workload::profiles::TraceProfile;
+use support::dvfs;
 
 #[test]
 fn conservative_absorbs_dvfs_feedback_better_than_easy() {
@@ -17,13 +20,8 @@ fn conservative_absorbs_dvfs_feedback_better_than_easy() {
     let w = TraceProfile::sdsc_blue().generate(2010, 1500);
     let cfg = PowerAwareConfig::medium();
     let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let easy = sim.run_power_aware(&w.jobs, &cfg).unwrap().metrics;
-    let cons = sim
-        .clone()
-        .with_conservative()
-        .run_power_aware(&w.jobs, &cfg)
-        .unwrap()
-        .metrics;
+    let easy = dvfs(&sim, &w.jobs, cfg).metrics;
+    let cons = dvfs(&sim.clone().with_conservative(), &w.jobs, cfg).metrics;
     assert!(
         cons.avg_bsld <= easy.avg_bsld,
         "conservative should absorb the feedback: {} vs {}",
@@ -80,16 +78,13 @@ fn selection_policy_does_not_change_energy_accounting() {
     // and to the homogeneous power model).
     let w = TraceProfile::sdsc_blue().scaled_cpus(64).generate(13, 400);
     let sim = Simulator::paper_default(&w.cluster_name, w.cpus);
-    let ff = sim
-        .run_power_aware(&w.jobs, &PowerAwareConfig::medium())
-        .unwrap()
-        .metrics;
-    let lf = sim
-        .clone()
-        .with_selection(SelectionPolicy::LastFit)
-        .run_power_aware(&w.jobs, &PowerAwareConfig::medium())
-        .unwrap()
-        .metrics;
+    let ff = dvfs(&sim, &w.jobs, PowerAwareConfig::medium()).metrics;
+    let lf = dvfs(
+        &sim.clone().with_selection(SelectionPolicy::LastFit),
+        &w.jobs,
+        PowerAwareConfig::medium(),
+    )
+    .metrics;
     assert_eq!(ff.avg_bsld.to_bits(), lf.avg_bsld.to_bits());
     assert_eq!(
         ff.energy.computational.to_bits(),
@@ -108,12 +103,8 @@ fn conservative_composes_with_boost() {
         wq_threshold: bsld::core::WqThreshold::NoLimit,
     };
     let sim = Simulator::paper_default(&w.cluster_name, w.cpus).with_conservative();
-    let plain = sim.run_power_aware(&w.jobs, &cfg).unwrap();
-    let boosted = sim
-        .clone()
-        .with_boost(2)
-        .run_power_aware(&w.jobs, &cfg)
-        .unwrap();
+    let plain = dvfs(&sim, &w.jobs, cfg);
+    let boosted = dvfs(&sim.clone().with_boost(2), &w.jobs, cfg);
     validate_schedule(&boosted.outcomes, w.cpus).unwrap();
     assert!(boosted.metrics.avg_wait_secs <= plain.metrics.avg_wait_secs + 1.0);
     assert!(boosted.metrics.energy.computational >= plain.metrics.energy.computational - 1e-9);
